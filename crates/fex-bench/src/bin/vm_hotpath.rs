@@ -15,7 +15,8 @@
 //!    `no_fusion` alias, `no_mru` and `all_off` — identical counters
 //!    asserted across every configuration.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
-//!    `--jobs 8` matrix, parsed from the runner's own accounting line.
+//!    `--jobs 8` matrix: decodes from the matrix's fresh build system,
+//!    served executions from its journal.
 //!
 //! Writes `target/fex-results/BENCH_vm.json`. Pass `--smoke` for the
 //! CI-sized variant.
@@ -24,7 +25,7 @@ use fex_bench::write_artifact;
 use fex_cc::{compile, BuildOptions};
 use fex_core::build::{BuildSystem, MakefileSet};
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
-use fex_core::{ExperimentConfig, RunPolicy};
+use fex_core::{ExperimentConfig, JournalEvent, RunPolicy};
 use fex_suites::InputSize;
 use fex_vm::{Machine, MachineConfig, PassMask};
 
@@ -57,19 +58,19 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
 }
 
 /// One timed pass over the experiment matrix. Returns (seconds, CSV,
-/// run units driven, experiment log).
-fn run_matrix(
-    config: &ExperimentConfig,
-    build: &mut BuildSystem,
-) -> (f64, String, usize, Vec<String>) {
+/// VM executions). Executions are counted from the journal's `vm_exec`
+/// events, as the workflow's per-experiment `decode_cache` event counts
+/// them; per-benchmark bookkeeping units execute nothing.
+fn run_matrix(config: &ExperimentConfig, build: &mut BuildSystem) -> (f64, String, usize) {
     let mut log = Vec::new();
     let mut ctx = RunContext::new(config, build, &mut log);
     let mut runner = SuiteRunner::new(fex_suites::micro(), config);
     let start = cpu_seconds();
     let df = runner.run(&mut ctx).expect("matrix runs");
     let seconds = cpu_seconds() - start;
-    let units = ctx.failures.total_runs;
-    (seconds, df.to_csv(), units, log)
+    let executions =
+        ctx.journal.events().iter().filter(|e| matches!(e, JournalEvent::VmExec { .. })).count();
+    (seconds, df.to_csv(), executions)
 }
 
 /// The single-thread run-phase sweep: every micro benchmark × build
@@ -146,20 +147,6 @@ fn dispatch_bench(program: &fex_vm::Program, passes: PassMask, mru: bool) -> (u6
     (run.counters.instructions, run.exit, cpu_seconds() - start)
 }
 
-/// Pulls `(decodes, served)` out of the runner's decoded-artifact cache
-/// accounting line: `decoded-artifact cache: D decodes served S run
-/// units (...)`.
-fn parse_cache_line(log: &[String]) -> (usize, usize) {
-    let line = log
-        .iter()
-        .find(|l| l.starts_with("decoded-artifact cache:"))
-        .expect("runner logs the decoded-artifact cache line");
-    let words: Vec<&str> = line.split_whitespace().collect();
-    let decodes = words[2].parse().expect("decode count");
-    let served = words[5].parse().expect("served count");
-    (decodes, served)
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     // The full run sweeps at the native input so the measured workload
@@ -220,10 +207,9 @@ fn main() {
     // the toggles on and off (repetitions and both thread counts
     // included); the differential property test covers fault injection.
     let mut on_build = BuildSystem::new(MakefileSet::standard());
-    let (_, on_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &mut on_build);
+    let (_, on_csv, _) = run_matrix(&matrix_config(InputSize::Small, reps, 1, true), &mut on_build);
     let mut off_build = BuildSystem::new(MakefileSet::standard());
-    let (_, off_csv, _, _) =
+    let (_, off_csv, _) =
         run_matrix(&matrix_config(InputSize::Small, reps, 1, false), &mut off_build);
     assert_eq!(on_csv, off_csv, "toggles changed the experiment results CSV");
     println!("  full-pipeline CSVs: byte-identical on vs off");
@@ -283,15 +269,15 @@ fn main() {
 
     // 3. Decoded-artifact cache hit rate on a --jobs 8 matrix — always
     // 6 reps at the test input (12 decodes serving 144 units), checked
-    // byte-for-byte against a sequential run of the same matrix.
+    // byte-for-byte against a --jobs 1 run of the same matrix.
     let mut cache_build = BuildSystem::new(MakefileSet::standard());
-    let (_, csv, _, log) =
+    let (_, csv, served) =
         run_matrix(&matrix_config(InputSize::Test, 6, 8, true), &mut cache_build);
     let mut seq_build = BuildSystem::new(MakefileSet::standard());
-    let (_, seq_csv, _, _) =
-        run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &mut seq_build);
+    let (_, seq_csv, _) = run_matrix(&matrix_config(InputSize::Test, 6, 1, true), &mut seq_build);
     assert_eq!(seq_csv, csv, "--jobs 8 changed the results CSV");
-    let (decodes, served) = parse_cache_line(&log);
+    // A fresh build system, so its lifetime decode count is this matrix's.
+    let decodes = cache_build.decodes_performed();
     let hit_rate = 100.0 * (served - decodes) as f64 / served as f64;
     println!("  decode cache: {decodes} decodes served {served} units ({hit_rate:.1}% hit rate)");
     assert!(hit_rate > 90.0, "decode-cache hit rate {hit_rate:.1}% must exceed 90%");

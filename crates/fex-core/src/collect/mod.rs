@@ -76,8 +76,7 @@ impl Collector {
     }
 
     /// The value of metric `name` in the most recently recorded row, if
-    /// any — the adaptive repetition controller reads its sample here
-    /// right after [`record`](Self::record).
+    /// any.
     pub fn last_metric(&self, name: &str) -> Option<f64> {
         let i = self.frame.col(name).ok()?;
         self.frame.iter().last().and_then(|r| r[i].as_num())
@@ -88,9 +87,8 @@ impl Collector {
 /// collector would record it (every tool reports `time`; a missing value
 /// records as 0, exactly like [`Collector::record`]).
 ///
-/// Both the sequential runner and the parallel scheduler's adaptive
-/// controller derive convergence decisions from this one function, which
-/// keeps their rep counts — and therefore their CSVs — identical.
+/// The adaptive repetition controller derives its convergence decisions
+/// from this one function, so they match the recorded `time` column.
 pub fn run_sample(tool: MeasureTool, run: &RunResult) -> f64 {
     Measurement::extract(tool, run).get("time").unwrap_or(0.0)
 }

@@ -92,8 +92,9 @@ pub enum JournalEvent {
         threads: usize,
         /// Repetition index; `None` for benchmark-level units (dry runs).
         rep: Option<usize>,
-        /// Worker index that ran the unit (0 in the sequential loop;
-        /// volatile across `--jobs`, normalized in differential tests).
+        /// Worker index that ran the unit (0 at `--jobs 1` and for
+        /// graph-served units; volatile across `--jobs`, normalized in
+        /// differential tests).
         worker: usize,
     },
     /// The VM executed a run unit successfully: the measured counters.

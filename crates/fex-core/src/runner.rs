@@ -1,11 +1,13 @@
 //! Experiment runners (Fig 3 and Fig 4 of the paper).
 //!
-//! [`Runner`] is the paper's `Runner` abstract class: a default
-//! [`experiment_loop`](Runner::experiment_loop) nests build-type →
-//! benchmark → thread-count → repetition exactly as Fig 4 shows, with an
-//! overridable hook at every level. [`SuiteRunner`] drives the benchmark
-//! suites through it; [`VariableInputRunner`] redefines the loop to add an
-//! input-size dimension (the paper's `VariableInputRunner` subclass);
+//! [`Runner`] is the paper's `Runner` abstract class. [`SuiteRunner`]
+//! walks the Fig 4 matrix — build type → benchmark → thread count →
+//! repetition — as one plan → execute → merge pipeline at every
+//! `--jobs`: the matrix expands into [`RunUnit`]s in that nesting order,
+//! [`execute_units`] runs them (inline at `--jobs 1`, across the worker
+//! pool otherwise) and the outcomes merge back in matrix order.
+//! [`VariableInputRunner`] adds an input-size dimension between benchmark
+//! and thread count (the paper's `VariableInputRunner` subclass);
 //! [`ServerRunner`] and [`SecurityRunner`] replace the loop wholesale for
 //! the throughput-latency and RIPE experiments.
 
@@ -16,7 +18,7 @@ use fex_cc::BuildOptions;
 use fex_netsim::{ServerBuild, ServerKind, Simulation, Workload};
 use fex_ripe::{run_testbed, TestbedConfig};
 use fex_suites::{BenchProgram, InputSize, Suite};
-use fex_vm::{Machine, MachineConfig, RunResult};
+use fex_vm::RunResult;
 
 use fex_container::Digest;
 
@@ -27,9 +29,7 @@ use crate::env::environment_for;
 use crate::error::{FexError, Result};
 use crate::graph::{ArtifactGraph, NodeKind};
 use crate::journal::{Journal, JournalEvent, JsonLine};
-use crate::resilience::{
-    execute_with_retry, AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome,
-};
+use crate::resilience::{AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome};
 use crate::sched::{execute_units, RunUnit, UnitOutcome, UnitWork};
 
 /// Shared state handed to runner hooks.
@@ -40,17 +40,13 @@ pub struct RunContext<'a> {
     pub build: &'a mut BuildSystem,
     /// Experiment log lines (environment details, progress).
     pub log: &'a mut Vec<String>,
-    /// Current retry attempt (0-based) of the run action being driven;
-    /// fed to armed fault plans as the retry salt so transient faults
-    /// re-roll across retries.
-    pub attempt: u64,
     /// Failure and retry accounting for this experiment.
     pub failures: FailureReport,
     /// The structured run journal (disabled under `--no-journal`). A
-    /// strict observer: both loops emit the same per-unit event sequence
-    /// — claim, VM execution, one fault per errored attempt, outcome —
-    /// and never read it back, so CSVs are byte-identical with it on or
-    /// off.
+    /// strict observer: the merge splices each unit's event sequence —
+    /// claim, VM execution, one fault per errored attempt, outcome — in
+    /// matrix order and never reads it back, so CSVs are byte-identical
+    /// with it on or off.
     pub journal: Journal,
     /// The artifact graph serving cached clean run units, attached by the
     /// workflow when `--lab` is active and `--no-graph` was not given.
@@ -70,7 +66,6 @@ impl<'a> RunContext<'a> {
             config,
             build,
             log,
-            attempt: 0,
             failures: FailureReport::default(),
             journal: Journal::new(config.journal),
             graph: None,
@@ -85,43 +80,6 @@ impl<'a> RunContext<'a> {
         }
         self.log.push(line);
     }
-
-    /// Machine configuration for a run with the given thread count.
-    pub fn machine_config(&self, threads: usize) -> MachineConfig {
-        MachineConfig {
-            cores: threads.max(1),
-            seed: self.config.seed,
-            passes: self.config.passes,
-            mru_fast_path: self.config.mru_fast_path,
-            ..MachineConfig::default()
-        }
-    }
-
-    /// Machine configuration for one run unit of `benchmark`: per-unit
-    /// seed derived from the unit's coordinates, the experiment's fault
-    /// plan when it applies (salted with the current retry attempt) and
-    /// the resilience policy's per-run instruction budget (hang
-    /// watchdog). Delegates to
-    /// [`ExperimentConfig::unit_machine_config`], the single source of
-    /// machine configurations for both the sequential and the parallel
-    /// loop.
-    pub fn machine_config_for(
-        &self,
-        ty: &str,
-        benchmark: &str,
-        threads: usize,
-        rep: Option<usize>,
-    ) -> MachineConfig {
-        self.config.unit_machine_config(benchmark, ty, threads, rep, self.attempt)
-    }
-}
-
-/// Loop control after a (possibly retried) run action settled.
-enum Flow {
-    /// Carry on with the next repetition/thread count.
-    Continue,
-    /// The benchmark was quarantined: skip its remaining runs.
-    SkipBenchmark,
 }
 
 /// Folds one [`AttemptLog`] into the context's failure accounting, the
@@ -129,7 +87,7 @@ enum Flow {
 /// abort the experiment; run faults are recorded and — at the failure
 /// threshold — quarantine the benchmark.
 ///
-/// `rep` is `None` for benchmark-level actions (dry runs); the failure
+/// `rep` is `None` for benchmark-level units (dry runs); the failure
 /// CSV and log lines keep printing `0` there, exactly as before the
 /// journal existed.
 fn settle(
@@ -140,8 +98,7 @@ fn settle(
     bench: &str,
     threads: usize,
     rep: Option<usize>,
-) -> Result<Flow> {
-    ctx.attempt = 0;
+) -> Result<()> {
     ctx.failures.note_run(log.attempts, log.backoff_cycles);
     if ctx.journal.enabled() {
         for (attempt, error) in log.errors.iter().enumerate() {
@@ -190,7 +147,7 @@ fn settle(
             } else {
                 outcome_event(ctx, "clean");
             }
-            Ok(Flow::Continue)
+            Ok(())
         }
         Err(e) if e.is_run_fault() => {
             let quarantined = quarantine.record_failure(bench);
@@ -209,11 +166,7 @@ fn settle(
                 outcome,
             });
             outcome_event(ctx, &outcome.to_string());
-            if quarantine.is_quarantined(bench) {
-                Ok(Flow::SkipBenchmark)
-            } else {
-                Ok(Flow::Continue)
-            }
+            Ok(())
         }
         Err(e) => Err(e),
     }
@@ -269,7 +222,7 @@ fn served_outcome(unit: &RunUnit, run: RunResult, journal: bool) -> UnitOutcome 
     }
 }
 
-/// The paper's `Runner` class: hooks plus the default experiment loop.
+/// The paper's `Runner` class: hooks plus the experiment loop.
 pub trait Runner {
     /// Experiment name.
     fn experiment_name(&self) -> &str;
@@ -282,66 +235,23 @@ pub trait Runner {
     /// Benchmarks this experiment iterates over (after `-b` filtering).
     fn benchmarks(&self, ctx: &RunContext<'_>) -> Vec<String>;
 
-    /// Hook: a new build type begins (the default loop expects builds to
-    /// happen here).
+    /// Hook: a build type enters the plan (suite runners build every
+    /// benchmark for it here, before any unit executes).
     fn per_type_action(&mut self, _ctx: &mut RunContext<'_>, _ty: &str) -> Result<()> {
         Ok(())
     }
 
-    /// Hook: a new benchmark begins (Phoenix's dry run lives here).
-    fn per_benchmark_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    /// Hook: a new thread count begins.
-    fn per_thread_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    /// Hook: one repetition — the actual measured run.
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()>;
-
-    /// Hook: the scalar sample of the most recent successful
-    /// [`per_run_action`](Self::per_run_action), fed to the adaptive
-    /// repetition controller
-    /// ([`Repetitions::Adaptive`](crate::config::Repetitions)). The
-    /// default `None` gives the controller no convergence signal, so
-    /// adaptive policies run their full budget.
-    fn last_sample(&self) -> Option<f64> {
-        None
-    }
-
-    /// The Fig 4 loop, made resilient: per-run actions are driven through
-    /// the experiment's [`RunPolicy`](crate::resilience::RunPolicy)
-    /// (retry with exponential simulated
-    /// backoff), and a benchmark whose runs keep failing is
-    /// **quarantined** — skipped for all remaining types, thread counts
-    /// and repetitions — instead of aborting the experiment. The partial
-    /// frame plus the context's [`FailureReport`] are the result.
-    /// Non-run errors (configuration, unknown names, build failures)
-    /// still abort immediately. Override to change the iteration
-    /// structure (as [`VariableInputRunner`] does).
-    fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        fig4_loop(self, ctx)
-    }
+    /// The experiment's iteration. Suite runners walk the Fig 4 matrix
+    /// through the plan → execute → merge pipeline, made resilient: each
+    /// unit is driven through the experiment's
+    /// [`RunPolicy`](crate::resilience::RunPolicy) (retry with
+    /// exponential simulated backoff), and a benchmark whose runs keep
+    /// failing is **quarantined** — its remaining types, thread counts
+    /// and repetitions are dropped — instead of aborting the experiment.
+    /// The partial frame plus the context's [`FailureReport`] are the
+    /// result. Non-run errors (configuration, unknown names, build
+    /// failures) still abort immediately.
+    fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()>;
 
     /// Runs setup + loop and returns the collected frame.
     fn run(&mut self, ctx: &mut RunContext<'_>) -> Result<DataFrame> {
@@ -354,177 +264,27 @@ pub trait Runner {
     fn take_frame(&mut self) -> DataFrame;
 }
 
-/// The default sequential Fig 4 loop body, shared by the trait default
-/// and by runners that fall back to it at `--jobs 1`.
-fn fig4_loop<R: Runner + ?Sized>(runner: &mut R, ctx: &mut RunContext<'_>) -> Result<()> {
-    let types = ctx.config.build_types.clone();
-    let threads = ctx.config.threads.clone();
-    let reps = ctx.config.repetitions;
-    let policy = ctx.config.resilience.clone();
-    let mut quarantine = QuarantineBook::new(policy.failure_threshold);
-    for ty in &types {
-        runner.per_type_action(ctx, ty)?;
-        'bench: for bench in runner.benchmarks(ctx) {
-            if quarantine.is_quarantined(&bench) {
-                ctx.log(format!("skipping quarantined `{bench}` [{ty}]"));
-                ctx.journal.emit(JournalEvent::QuarantineSkip {
-                    benchmark: bench.clone(),
-                    build_type: ty.clone(),
-                });
-                continue;
-            }
-            let log = execute_with_retry(&policy, |attempt| {
-                ctx.attempt = attempt;
-                runner.per_benchmark_action(ctx, ty, &bench)
-            });
-            if let Flow::SkipBenchmark = settle(ctx, &mut quarantine, log, ty, &bench, 1, None)? {
-                continue 'bench;
-            }
-            for m in &threads {
-                runner.per_thread_action(ctx, ty, &bench, *m)?;
-                // The repetition controller: fixed policies count reps,
-                // adaptive ones watch the cell's successful samples for
-                // CI convergence. Failed reps consume budget but add no
-                // sample.
-                let mut samples: Vec<f64> = Vec::new();
-                let mut rep = 0;
-                while reps.wants_more(rep, &samples) {
-                    let log = execute_with_retry(&policy, |attempt| {
-                        ctx.attempt = attempt;
-                        runner.per_run_action(ctx, ty, &bench, *m, rep)
-                    });
-                    let succeeded = log.result.is_ok();
-                    if let Flow::SkipBenchmark =
-                        settle(ctx, &mut quarantine, log, ty, &bench, *m, Some(rep))?
-                    {
-                        continue 'bench;
-                    }
-                    if succeeded {
-                        if let Some(v) = runner.last_sample() {
-                            samples.push(v);
-                        }
-                    }
-                    rep += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Suite performance runner
 // ---------------------------------------------------------------------
 
-/// Runs a benchmark suite under the default Fig 4 loop.
+/// Runs a benchmark suite over the Fig 4 matrix.
 pub struct SuiteRunner {
     suite: Suite,
     collector: Collector,
     artifacts: HashMap<(String, String), Arc<Artifact>>,
-    input_override: Option<InputSize>,
 }
 
 impl SuiteRunner {
     /// Creates a runner for a suite with the configured measurement tool.
     pub fn new(suite: Suite, config: &ExperimentConfig) -> Self {
-        SuiteRunner {
-            suite,
-            collector: Collector::new(config.tool),
-            artifacts: HashMap::new(),
-            input_override: None,
-        }
+        SuiteRunner { suite, collector: Collector::new(config.tool), artifacts: HashMap::new() }
     }
 
     fn program(&self, name: &str) -> Result<&BenchProgram> {
         self.suite
             .program(name)
             .ok_or_else(|| FexError::UnknownName { kind: "benchmark", name: name.to_string() })
-    }
-
-    fn input(&self, ctx: &RunContext<'_>) -> InputSize {
-        self.input_override.unwrap_or(ctx.config.input)
-    }
-
-    fn execute(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: Option<usize>,
-    ) -> Result<()> {
-        let input = self.input(ctx);
-        let prog = self.program(bench)?;
-        let args: Vec<i64> = prog.args(input).to_vec();
-        let artifact = self
-            .artifacts
-            .get(&(ty.to_string(), bench.to_string()))
-            .cloned()
-            .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
-        // Artifact-graph lookup: first attempts of fault-free units only,
-        // so retry and quarantine behaviour is identical cold and warm.
-        let graph_key = if ctx.graph.is_some() && ctx.config.graph && ctx.attempt == 0 {
-            self.unit_graph_key(ctx.config, ty, bench, threads, rep, input_name(input), &args)
-        } else {
-            None
-        };
-        let mut cached = None;
-        if let (Some(key), Some(g)) = (&graph_key, ctx.graph.as_mut()) {
-            cached = g.lookup_run(key);
-            if ctx.journal.enabled() {
-                ctx.journal.emit(graph_event(cached.is_some(), bench, ty, threads, rep));
-            }
-        }
-        // The journal's claim marks the unit being picked up, once — not
-        // once per retry attempt — mirroring the worker pool, where the
-        // claim precedes the whole retry loop. The sequential loop is
-        // "worker 0".
-        if ctx.journal.enabled() && ctx.attempt == 0 {
-            ctx.journal.emit(JournalEvent::UnitClaim {
-                benchmark: bench.to_string(),
-                build_type: ty.to_string(),
-                threads,
-                rep,
-                worker: 0,
-            });
-        }
-        let run = match cached {
-            // Served from the graph: the VM is skipped entirely, the
-            // cached result is bit-identical to a fresh execution.
-            Some(run) => run,
-            None => {
-                let machine = Machine::new(ctx.machine_config_for(ty, bench, threads, rep));
-                let mut instance = if ctx.config.decode_cache {
-                    machine.load_with(&artifact.program, &artifact.decoded)
-                } else {
-                    machine.load(&artifact.program)
-                };
-                let run = instance.run_entry(&args).map_err(|source| FexError::Run {
-                    benchmark: bench.to_string(),
-                    build_type: ty.to_string(),
-                    source,
-                })?;
-                if let (Some(key), Some(g)) = (&graph_key, ctx.graph.as_mut()) {
-                    g.store_run(key, &run)?;
-                }
-                run
-            }
-        };
-        if ctx.journal.enabled() {
-            ctx.journal.emit(JournalEvent::vm_exec(bench, ty, threads, rep, &run));
-        }
-        if let Some(rep) = rep {
-            self.collector.record(
-                self.suite.name,
-                bench,
-                ty,
-                threads,
-                input_name(input),
-                rep,
-                &run,
-            );
-        }
-        Ok(())
     }
 
     /// Builds the executable payload of one run unit: the [`Arc`]-shared
@@ -583,17 +343,20 @@ impl SuiteRunner {
         ))
     }
 
-    /// The parallel experiment loop (`--jobs N`, N > 1): builds
-    /// everything up front, expands the matrix into [`RunUnit`]s in
-    /// exact sequential order, executes them across the worker pool, and
-    /// merges the outcomes back in matrix order — applying quarantine
-    /// decisions only at merge time, so results, failure records and
-    /// quarantine choices are byte-identical to the sequential loop.
+    /// The experiment loop at every `--jobs`. Plan: build everything up
+    /// front and expand the matrix into [`RunUnit`]s in Fig 4 order —
+    /// type → benchmark → [size] → threads → rep. Execute: serve cached
+    /// units from the artifact graph and run the rest through
+    /// [`execute_units`], inline at `--jobs 1`. Merge: walk the outcomes
+    /// back in matrix order and apply quarantine decisions only there,
+    /// so results, failure records and quarantine choices do not depend
+    /// on the worker count. Units after a quarantine decision run
+    /// speculatively and are dropped at merge.
     ///
     /// `sizes` adds the [`VariableInputRunner`] input-size dimension
     /// between benchmark and thread count; `None` runs the plain Fig 4
     /// matrix.
-    fn parallel_loop(
+    fn matrix_loop(
         &mut self,
         ctx: &mut RunContext<'_>,
         sizes: Option<Vec<InputSize>>,
@@ -605,13 +368,13 @@ impl SuiteRunner {
         let jobs = ctx.config.effective_jobs();
 
         // Phase 1: builds, front-loaded (each bench × type compiles
-        // exactly once, same logs as the sequential per-type hook).
+        // exactly once).
         for ty in &types {
             self.per_type_action(ctx, ty)?;
         }
 
         // Phase 2: expand the matrix into per-(type, benchmark) groups
-        // and measurement cells, in exact sequential order.
+        // and measurement cells, in matrix order.
         let size_axis: Vec<Option<InputSize>> = match &sizes {
             Some(s) => s.iter().copied().map(Some).collect(),
             None => vec![None],
@@ -622,7 +385,7 @@ impl SuiteRunner {
             input: InputSize,
             threads: usize,
             /// Executed rep count (failures included — they consume the
-            /// adaptive budget, exactly as in the sequential loop).
+            /// adaptive budget).
             done: usize,
             /// Successful samples, in rep order.
             samples: Vec<f64>,
@@ -666,22 +429,20 @@ impl SuiteRunner {
             }
         }
 
-        // Phase 3: speculative parallel execution, in rounds. Round 0
-        // covers the per-benchmark dry units plus every rep the policy
-        // wants before seeing any sample (all of them, for `Fixed`);
-        // each later round gives every unconverged cell exactly one more
-        // rep, mirroring the sequential controller's one-at-a-time
-        // re-check. Measurements are pure functions of unit coordinates,
-        // so each cell's sample sequence — and therefore its rep count —
-        // matches the sequential loop exactly; a `Fixed` policy
-        // terminates after round 0, which is the classic single-batch
-        // schedule.
+        // Phase 3: speculative execution, in rounds. Round 0 covers the
+        // per-benchmark dry units plus every rep the policy wants before
+        // seeing any sample (all of them, for `Fixed`); each later round
+        // gives every unconverged cell exactly one more rep, so
+        // `Repetitions::wants_more` re-checks a cell after every sample.
+        // Measurements are pure functions of unit coordinates, so each
+        // cell's sample sequence — and therefore its rep count — does
+        // not depend on the worker count; a `Fixed` policy terminates
+        // after round 0, which is the classic single-batch schedule.
         enum Origin {
             Dry(usize),
             Rep(usize),
         }
         let mut round = 0usize;
-        let mut executed_with_decode = 0usize;
         loop {
             let mut batch: Vec<RunUnit> = Vec::new();
             let mut origins: Vec<Origin> = Vec::new();
@@ -809,10 +570,6 @@ impl SuiteRunner {
                 }
             }
             let outcomes = execute_units(&exec_units, &policy, jobs, journal_on, ctx.config.chunk);
-            executed_with_decode += exec_units
-                .iter()
-                .filter(|u| u.work.as_ref().is_some_and(|w| w.decoded.is_some()))
-                .count();
             for (((unit, mut outcome), slot), key) in
                 exec_units.into_iter().zip(outcomes).zip(exec_slots).zip(exec_keys)
             {
@@ -851,18 +608,9 @@ impl SuiteRunner {
             }
             round += 1;
         }
-        if executed_with_decode > 0 {
-            let decodes = ctx.build.decodes_performed();
-            let reuses = executed_with_decode.saturating_sub(decodes);
-            ctx.log(format!(
-                "decoded-artifact cache: {decodes} decodes served {executed_with_decode} run \
-                 units ({reuses} reuses, {:.1}% hit rate)",
-                100.0 * reuses as f64 / executed_with_decode as f64
-            ));
-        }
 
         // Phase 4: deterministic merge — quarantine applied in matrix
-        // order, exactly where the sequential loop would decide it.
+        // order.
         let mut quarantine = QuarantineBook::new(policy.failure_threshold);
         for group in groups {
             let (unit, outcome) = group.dry.expect("round 0 executes every per-benchmark unit");
@@ -886,11 +634,10 @@ impl SuiteRunner {
         outcome: UnitOutcome,
     ) -> Result<()> {
         if quarantine.is_quarantined(&unit.bench) {
-            // The sequential loop announces the skip once per
-            // (type, benchmark) — at the per-benchmark unit. A
-            // speculatively executed unit's worker events are
-            // dropped with it, so the journal too matches the
-            // sequential run.
+            // The skip is announced once per (type, benchmark), at the
+            // per-benchmark unit. A speculatively executed unit's worker
+            // events are dropped with it, so the journal does not depend
+            // on how far speculation ran.
             if !unit.record {
                 ctx.log(format!("skipping quarantined `{}` [{}]", unit.bench, unit.ty));
                 ctx.journal.emit(JournalEvent::QuarantineSkip {
@@ -908,8 +655,6 @@ impl SuiteRunner {
         // Splice the worker's per-unit events (claim + execution)
         // ahead of the fault/outcome events settle emits.
         ctx.journal.extend(outcome.events);
-        // The returned flow is redundant here: skipping is the
-        // quarantine check at the top of this method.
         settle(ctx, quarantine, outcome.log, &unit.ty, &unit.bench, unit.threads, unit.rep)?;
         if recorded {
             let run = outcome.result.expect("checked above");
@@ -1013,49 +758,11 @@ impl Runner for SuiteRunner {
         Ok(())
     }
 
-    /// Phoenix's preliminary dry run (`per_benchmark_action` hook in the
-    /// paper).
-    fn per_benchmark_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-    ) -> Result<()> {
-        if self.program(bench)?.dry_run {
-            ctx.log(format!("dry run for `{bench}`"));
-            self.execute(ctx, ty, bench, 1, None)?;
-        }
-        Ok(())
-    }
-
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()> {
-        self.execute(ctx, ty, bench, threads, Some(rep))
-    }
-
-    /// The adaptive controller's convergence signal: the `time` cell of
-    /// the most recently collected row — the same value
-    /// [`run_sample`](crate::collect::run_sample) derives for the
-    /// parallel scheduler.
-    fn last_sample(&self) -> Option<f64> {
-        self.collector.last_metric("time")
-    }
-
-    /// Dispatches to the parallel scheduler when more than one worker is
-    /// configured; otherwise runs the sequential Fig 4 loop. Both paths
-    /// produce byte-identical results and failure reports.
+    /// Runs the matrix through the plan → execute → merge pipeline.
+    /// Phoenix's preliminary dry run (the paper's `per_benchmark_action`)
+    /// is the per-benchmark unit of each (type, benchmark) group.
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        if ctx.config.effective_jobs() > 1 {
-            self.parallel_loop(ctx, None)
-        } else {
-            fig4_loop(self, ctx)
-        }
+        self.matrix_loop(ctx, None)
     }
 
     fn take_frame(&mut self) -> DataFrame {
@@ -1095,90 +802,11 @@ impl Runner for VariableInputRunner {
         self.inner.benchmarks(ctx)
     }
 
-    fn per_run_action(
-        &mut self,
-        ctx: &mut RunContext<'_>,
-        ty: &str,
-        bench: &str,
-        threads: usize,
-        rep: usize,
-    ) -> Result<()> {
-        self.inner.per_run_action(ctx, ty, bench, threads, rep)
-    }
-
-    fn last_sample(&self) -> Option<f64> {
-        self.inner.last_sample()
-    }
-
     /// The redefined loop: types → benchmarks → **input sizes** → threads
-    /// → repetitions, with the same retry/quarantine resilience as the
-    /// default loop. With more than one worker configured, the matrix —
-    /// including the size dimension — goes through the parallel
-    /// scheduler instead.
+    /// → repetitions, through the same pipeline (and the same
+    /// retry/quarantine resilience) as [`SuiteRunner`].
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
-        if ctx.config.effective_jobs() > 1 {
-            return self.inner.parallel_loop(ctx, Some(self.sizes.clone()));
-        }
-        let types = ctx.config.build_types.clone();
-        let threads = ctx.config.threads.clone();
-        let reps = ctx.config.repetitions;
-        let sizes = self.sizes.clone();
-        let policy = ctx.config.resilience.clone();
-        let mut quarantine = QuarantineBook::new(policy.failure_threshold);
-        for ty in &types {
-            self.inner.per_type_action(ctx, ty)?;
-            'bench: for bench in self.benchmarks(ctx) {
-                if quarantine.is_quarantined(&bench) {
-                    ctx.log(format!("skipping quarantined `{bench}` [{ty}]"));
-                    ctx.journal.emit(JournalEvent::QuarantineSkip {
-                        benchmark: bench.clone(),
-                        build_type: ty.clone(),
-                    });
-                    continue;
-                }
-                let log = execute_with_retry(&policy, |attempt| {
-                    ctx.attempt = attempt;
-                    self.inner.per_benchmark_action(ctx, ty, &bench)
-                });
-                if let Flow::SkipBenchmark = settle(ctx, &mut quarantine, log, ty, &bench, 1, None)?
-                {
-                    self.inner.input_override = None;
-                    continue 'bench;
-                }
-                for size in &sizes {
-                    self.inner.input_override = Some(*size);
-                    for m in &threads {
-                        self.inner.per_thread_action(ctx, ty, &bench, *m)?;
-                        // Same repetition controller as the default loop:
-                        // each (size, threads) cell converges on its own
-                        // successful samples.
-                        let mut samples: Vec<f64> = Vec::new();
-                        let mut rep = 0;
-                        while reps.wants_more(rep, &samples) {
-                            let log = execute_with_retry(&policy, |attempt| {
-                                ctx.attempt = attempt;
-                                self.inner.per_run_action(ctx, ty, &bench, *m, rep)
-                            });
-                            let succeeded = log.result.is_ok();
-                            if let Flow::SkipBenchmark =
-                                settle(ctx, &mut quarantine, log, ty, &bench, *m, Some(rep))?
-                            {
-                                self.inner.input_override = None;
-                                continue 'bench;
-                            }
-                            if succeeded {
-                                if let Some(v) = self.inner.last_sample() {
-                                    samples.push(v);
-                                }
-                            }
-                            rep += 1;
-                        }
-                    }
-                }
-                self.inner.input_override = None;
-            }
-        }
-        Ok(())
+        self.inner.matrix_loop(ctx, Some(self.sizes.clone()))
     }
 
     fn take_frame(&mut self) -> DataFrame {
@@ -1232,17 +860,6 @@ impl Runner for ServerRunner {
 
     fn benchmarks(&self, _ctx: &RunContext<'_>) -> Vec<String> {
         vec![self.kind.name().to_string()]
-    }
-
-    fn per_run_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-        _rep: usize,
-    ) -> Result<()> {
-        Ok(())
     }
 
     /// Replaces the Fig 4 loop: build each server variant, then sweep
@@ -1326,17 +943,6 @@ impl Runner for SecurityRunner {
 
     fn benchmarks(&self, _ctx: &RunContext<'_>) -> Vec<String> {
         vec!["ripe".to_string()]
-    }
-
-    fn per_run_action(
-        &mut self,
-        _ctx: &mut RunContext<'_>,
-        _ty: &str,
-        _bench: &str,
-        _threads: usize,
-        _rep: usize,
-    ) -> Result<()> {
-        Ok(())
     }
 
     fn experiment_loop(&mut self, ctx: &mut RunContext<'_>) -> Result<()> {
@@ -1639,6 +1245,66 @@ mod tests {
         for bench in df.distinct("benchmark").unwrap() {
             let n = df.filter_eq("benchmark", &bench).unwrap().len();
             assert!((2..=4).contains(&n), "`{bench}` ran {n} reps outside the [2, 4] policy");
+        }
+    }
+
+    #[test]
+    fn adaptive_rep_counts_replay_the_controller() {
+        use crate::config::FaultInjection;
+        use crate::resilience::RunPolicy;
+        use fex_vm::{FaultKind, FaultPlan};
+
+        // Jobs 1 and jobs 8 share plan and merge, so they cannot check
+        // each other's rep counts. The reference is the controller
+        // itself, replayed over each cell's reps in order: it must want
+        // every rep the run recorded and none after them. Samples do not
+        // vary across reps here, so failed reps — which consume budget
+        // but add no sample — are what makes cells run past the floor.
+        let (config, _, _) = ctx_parts();
+        let config = config
+            .threads(vec![1, 2])
+            .adaptive_repetitions(2, 6, 0.05)
+            .fault(FaultInjection::everywhere(FaultPlan::spurious(0.3, FaultKind::Trap, 7)))
+            .resilience(RunPolicy::no_retries().threshold(usize::MAX));
+        let reps = config.repetitions;
+        for jobs in [1, 8] {
+            let config = config.clone().jobs(jobs);
+            let mut build = BuildSystem::new(MakefileSet::standard());
+            let mut log = Vec::new();
+            let mut ctx = RunContext::new(&config, &mut build, &mut log);
+            let df = SuiteRunner::new(fex_suites::micro(), &config).run(&mut ctx).unwrap();
+            // Per (benchmark, type, threads) cell: rep → sample, `None`
+            // for a failed rep.
+            type Cell = (String, String, usize);
+            let mut cells: std::collections::BTreeMap<Cell, Vec<(usize, Option<f64>)>> =
+                Default::default();
+            let [b, ty, m, rep, time] =
+                ["benchmark", "type", "threads", "rep", "time"].map(|c| df.col(c).unwrap());
+            for row in df.iter() {
+                let num = |i: usize| row[i].as_num().unwrap();
+                let cell = (row[b].to_cell_string(), row[ty].to_cell_string(), num(m) as usize);
+                cells.entry(cell).or_default().push((num(rep) as usize, Some(num(time))));
+            }
+            for r in &ctx.failures.records {
+                assert_eq!(r.outcome, RunOutcome::Failed);
+                let cell = (r.benchmark.clone(), r.build_type.clone(), r.threads);
+                cells.entry(cell).or_default().push((r.rep, None));
+            }
+            assert_eq!(cells.len(), 16, "4 benchmarks × 2 types × 2 thread counts");
+            let mut past_floor = 0;
+            for (cell, mut trail) in cells {
+                trail.sort_by_key(|(rep, _)| *rep);
+                let mut samples = Vec::new();
+                for (k, (rep, sample)) in trail.iter().enumerate() {
+                    assert_eq!(*rep, k, "{cell:?} has a gap before rep {rep}");
+                    assert!(reps.wants_more(k, &samples), "{cell:?} ran unwanted rep {k}");
+                    samples.extend(*sample);
+                }
+                let n = trail.len();
+                assert!(!reps.wants_more(n, &samples), "{cell:?} stopped early at {n} reps");
+                past_floor += usize::from(n > 2);
+            }
+            assert!(past_floor > 0, "jobs {jobs}: no cell ran past the floor");
         }
     }
 

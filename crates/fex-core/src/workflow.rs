@@ -688,6 +688,30 @@ mod tests {
     }
 
     #[test]
+    fn decode_cache_accounting_is_per_experiment() {
+        // The build system outlives experiments; a second run on the same
+        // `Fex` must not be charged the first run's decodes.
+        let mut fex = fex_with_compilers();
+        let cfg = ExperimentConfig::new("micro")
+            .types(vec!["gcc_native", "clang_native"])
+            .input(InputSize::Test)
+            .repetitions(3)
+            .jobs(2);
+        let decode_cache = |fex: &Fex| {
+            let json = fex.metrics_json("micro").expect("metrics stored");
+            let start = json.find("\"decode_cache\"").expect("decode_cache block");
+            let end = start + json[start..].find('}').expect("block closes");
+            json[start..=end].to_string()
+        };
+        fex.run(&cfg).unwrap();
+        let first = decode_cache(&fex);
+        assert!(first.contains("\"decodes\": 8,"), "{first}");
+        assert!(first.contains("\"served\": 24,"), "{first}");
+        fex.run(&cfg).unwrap();
+        assert_eq!(decode_cache(&fex), first);
+    }
+
+    #[test]
     fn perf_plot_normalises_against_first_type() {
         let mut fex = fex_with_compilers();
         let cfg = ExperimentConfig::new("micro")

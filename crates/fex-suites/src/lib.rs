@@ -50,7 +50,8 @@ pub struct BenchProgram {
     /// Arguments for native runs.
     pub native_args: Vec<i64>,
     /// Whether the runner should perform a preliminary dry run (Phoenix's
-    /// `per_benchmark_action` in the paper).
+    /// `per_benchmark_action` in the paper): one unrecorded run per
+    /// (build type, benchmark), ahead of its measured reps.
     pub dry_run: bool,
 }
 
