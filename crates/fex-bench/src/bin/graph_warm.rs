@@ -159,12 +159,12 @@ fn main() {
 
     let graph = ArtifactGraph::open(&lab).expect("graph reopens");
     print!("{}", graph.render_stats());
-    let counts = graph.node_counts();
-    let nodes_json: String = counts
-        .iter()
-        .map(|(kind, n)| format!("    \"{kind}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let nodes = graph.len();
+    assert_eq!(
+        nodes as u64,
+        cold_misses + dirty_misses,
+        "the graph holds exactly the run units the cold and dirty passes stored"
+    );
     let json = format!(
         "{{\n  \"host_cores\": {host_cores},\n  \"smoke\": {smoke},\n  \
          \"matrix\": \"phoenix 7 benchmarks x 4 build types, reps {reps}\",\n  \
@@ -172,7 +172,7 @@ fn main() {
          \"warm_speedup\": {speedup:.2},\n  \"warm_unit_hit_rate\": 1.0,\n  \
          \"dirty_benchmark\": \"{dirty_bench}\",\n  \"dirty_s\": {dirty_s:.6},\n  \
          \"dirty_unit_hit_rate\": {dirty_rate:.4},\n  \
-         \"units\": {cold_misses},\n  \"nodes\": {{\n{nodes_json}\n  }}\n}}\n",
+         \"units\": {cold_misses},\n  \"nodes\": {nodes}\n}}\n",
     );
     write_artifact("BENCH_graph.json", &json);
     let _ = std::fs::remove_dir_all(&lab);

@@ -1,6 +1,7 @@
-//! Measurement hot-path bench: run-phase throughput with the three
-//! zero-recompute optimisations — superinstruction fusion, the MRU cache
-//! fast path and the decoded-artifact cache — on vs off.
+//! Measurement hot-path bench: run-phase throughput with the
+//! zero-recompute optimisations — the decode pass pipeline and the MRU
+//! cache fast path — on vs off, plus the decoded-artifact cache's hit
+//! rate.
 //!
 //! Three sections:
 //!
@@ -12,7 +13,7 @@
 //!    under each toggle combination, with per-pass attribution rows:
 //!    all-on, leave-one-out for every decode pass (`no_pass:trace`,
 //!    `no_pass:fuse`, `no_pass:immfold`), the whole-pipeline-off
-//!    `no_fusion` alias, `no_mru` and `all_off` — identical counters
+//!    `no_fusion` row (`--passes none`), `no_mru` and `all_off` — identical counters
 //!    asserted across every configuration.
 //! 3. **decode_cache** — decoded-artifact cache hit rate on a
 //!    `--jobs 8` matrix: decodes from the matrix's fresh build system,
@@ -52,9 +53,8 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
         .repetitions(reps)
         .resilience(RunPolicy::default())
         .jobs(jobs)
-        .fusion(optimised)
+        .passes(if optimised { PassMask::all() } else { PassMask::none() })
         .mru(optimised)
-        .decode_cache(optimised)
 }
 
 /// One timed pass over the experiment matrix. Returns (seconds, CSV,

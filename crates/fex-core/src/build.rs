@@ -186,7 +186,7 @@ pub struct Artifact {
     pub decoded: Arc<DecodedProgram>,
     /// Content digest of (benchmark, source, resolved compiler options,
     /// decode pass subset, cost-model fingerprint): the cache key, equal
-    /// to the artifact graph's decoded-node key for this build.
+    /// to the artifact graph's decoded-layer key for this build.
     pub digest: Digest,
     /// Benchmark name.
     pub benchmark: String,
@@ -255,12 +255,6 @@ impl BuildSystem {
     /// changing it can never serve a stale decoded form.
     pub fn set_passes(&mut self, passes: PassMask) {
         self.passes = passes;
-    }
-
-    /// Alias for [`BuildSystem::set_passes`] with the all-or-nothing
-    /// historical switch (`--no-fusion`).
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.passes = if fusion { PassMask::all() } else { PassMask::none() };
     }
 
     /// Drops all cached binaries — the paper rebuilds everything at the
@@ -430,7 +424,7 @@ mod tests {
         assert_ne!(a.digest, other.digest);
         let clang = b.build("t", src, "clang_native", false, false).unwrap();
         assert_ne!(a.digest, clang.digest);
-        b.set_fusion(false);
+        b.set_passes(PassMask::none());
         let unfused = b.build("t", src, "gcc_native", false, false).unwrap();
         assert_ne!(a.digest, unfused.digest);
         assert_eq!(unfused.decoded.passes, PassMask::none());

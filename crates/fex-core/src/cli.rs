@@ -236,9 +236,7 @@ debug escape hatches (measured results are identical either way):
   --passes <list>    decode pass pipeline subset, comma-separated in
                      pipeline order (trace,fuse,immfold), or all/none
   --no-pass <name>   drop one pass from the pipeline (repeatable)
-  --no-fusion        disable the whole pass pipeline (= --passes none)
   --no-mru           disable the cache simulator's MRU fast path
-  --no-decode-cache  re-decode programs on every run unit
 ";
 
 /// Parses `args` (without the program name).
@@ -662,9 +660,7 @@ pub fn parse(args: &[String]) -> Result<Action> {
                         cfg.passes =
                             cfg.passes.without(v).map_err(|e| FexError::Config(e.to_string()))?;
                     }
-                    "--no-fusion" => cfg.passes = PassMask::none(),
                     "--no-mru" => cfg.mru_fast_path = false,
-                    "--no-decode-cache" => cfg.decode_cache = false,
                     "--no-journal" => cfg.journal = false,
                     "--no-graph" => cfg.graph = false,
                     other => return Err(FexError::Config(format!("unknown run flag `{other}`"))),
@@ -764,7 +760,7 @@ mod tests {
     #[test]
     fn parses_all_run_flags() {
         let Action::Run(cfg) = parse(&argv(
-            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --no-fusion --no-mru --no-decode-cache",
+            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --passes none --no-mru",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -776,7 +772,7 @@ mod tests {
         assert_eq!(cfg.tool, MeasureTool::Time);
         assert_eq!(cfg.jobs, 4);
         assert_eq!(cfg.passes, PassMask::none());
-        assert!(!cfg.mru_fast_path && !cfg.decode_cache);
+        assert!(!cfg.mru_fast_path);
         assert_eq!(cfg.lab, None, "runs stay ephemeral unless --lab is given");
     }
 
@@ -1021,7 +1017,7 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(cfg.passes, PassMask::all());
-        assert!(cfg.mru_fast_path && cfg.decode_cache);
+        assert!(cfg.mru_fast_path);
     }
 
     #[test]

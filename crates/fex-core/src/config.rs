@@ -164,15 +164,12 @@ pub struct ExperimentConfig {
     /// means auto — tuned from the matrix width and worker count.
     pub chunk: usize,
     /// The peephole pass subset run over the VM's decoded stream
-    /// (`--passes`/`--no-pass` select it; `--no-fusion` clears it;
-    /// measured results are identical for any subset).
+    /// (`--passes`/`--no-pass` select it; measured results are
+    /// identical for any subset).
     pub passes: PassMask,
     /// MRU line fast path in the cache simulator (`--no-mru` clears it;
     /// measured results are identical).
     pub mru_fast_path: bool,
-    /// Share each artifact's decoded form across all its run units
-    /// (`--no-decode-cache` clears it; measured results are identical).
-    pub decode_cache: bool,
     /// Record the structured run journal (`--no-journal` clears it;
     /// results and failure CSVs are byte-identical either way).
     pub journal: bool,
@@ -206,7 +203,6 @@ impl ExperimentConfig {
             chunk: 0,
             passes: PassMask::all(),
             mru_fast_path: true,
-            decode_cache: true,
             journal: true,
             graph: true,
             lab: None,
@@ -293,13 +289,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables or disables the whole peephole pipeline (`--no-fusion`).
-    /// Alias for `passes(PassMask::all())` / `passes(PassMask::none())`.
-    pub fn fusion(mut self, on: bool) -> Self {
-        self.passes = if on { PassMask::all() } else { PassMask::none() };
-        self
-    }
-
     /// Selects the peephole pass subset (`--passes`/`--no-pass`).
     pub fn passes(mut self, passes: PassMask) -> Self {
         self.passes = passes;
@@ -315,13 +304,6 @@ impl ExperimentConfig {
     /// Enables or disables the MRU cache fast path (`--no-mru`).
     pub fn mru(mut self, on: bool) -> Self {
         self.mru_fast_path = on;
-        self
-    }
-
-    /// Enables or disables the decoded-artifact cache
-    /// (`--no-decode-cache`).
-    pub fn decode_cache(mut self, on: bool) -> Self {
-        self.decode_cache = on;
         self
     }
 

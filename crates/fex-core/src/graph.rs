@@ -1,28 +1,32 @@
 //! The content-addressed artifact graph: incremental evaluation's
-//! memoization table.
+//! run-unit cache.
 //!
-//! Every artifact the pipeline produces — a benchmark's source, its
-//! compiled program, the decoded form, one run unit's measured result,
-//! the aggregate frame — is a *node* keyed by a `fex256` digest over the
-//! digests of its inputs plus exactly the configuration bits that affect
-//! it. The key derivation is layered so a change dirties precisely its
-//! own subtree and nothing else:
+//! Every run unit's measured result is a *node* keyed by a `fex256`
+//! digest over the digests of its inputs plus exactly the configuration
+//! bits that affect it. The key derivation is layered so a change dirties
+//! precisely its own subtree and nothing else:
 //!
-//! | node kind  | key = digest over                                        |
+//! | layer      | key = digest over                                        |
 //! |------------|----------------------------------------------------------|
-//! | `source`   | benchmark name, Cmm source bytes ([`fex_cc::source_digest`]) |
-//! | `compiled` | source key, backend name+version, `-O` level, asan, debug |
-//! | `decoded`  | compiled key, pass mask bits, cost-model fingerprint      |
-//! | `run_unit` | decoded key, unit seed, threads, rep, input, args, budget |
-//! | `aggregate`| run-unit keys in matrix order, repetition policy, tool    |
-//! | `plot`     | aggregate key, plot request                               |
+//! | source     | benchmark name, Cmm source bytes ([`fex_cc::source_digest`]) |
+//! | compiled   | source key, backend name+version, `-O` level, asan, debug |
+//! | decoded    | compiled key, pass mask bits, cost-model fingerprint      |
+//! | run unit   | decoded key, unit seed, threads, rep, input, args, budget |
+//!
+//! Only run units are stored: they are the one layer a warm run reads
+//! back. The upper layers exist as keys alone — the decoded key is also
+//! the build system's in-memory decode-cache key
+//! ([`Artifact::digest`](crate::build::Artifact)).
 //!
 //! The graph lives under `<lab>/graph/` with the same append-only
 //! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
 //! object per line, monotonic `seq`, no wall clocks, torn appends sealed
-//! onto their own line, per-line fault isolation on read. `fex lab fsck`
-//! walks it (orphaned node dirs, payload digest mismatches) with the same
-//! detect/quarantine treatment as run dirs.
+//! onto their own line, per-line fault isolation on read. Index lines
+//! written by older versions carry a `kind` key and may name provenance
+//! or aggregate nodes; the reader ignores the key and such nodes are
+//! never looked up. `fex lab fsck` walks the graph (orphaned node dirs,
+//! payload digest mismatches) with the same detect/quarantine treatment
+//! as run dirs.
 //!
 //! Only *clean* run units are cached: first-attempt successes of
 //! fault-free units. Fault-armed or failing units bypass the graph
@@ -32,7 +36,7 @@
 //! byte-identical to cold ones (locked by `tests/graph_diff.rs` and the
 //! fuzzer's `warm` oracle).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,59 +46,7 @@ use fex_vm::{CacheStats, HeapStats, PerfCounters, RunResult};
 
 use crate::error::{FexError, Result};
 use crate::journal::{self, JsonLine};
-
-/// What a graph node is, and therefore what its payload holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum NodeKind {
-    /// A benchmark's source bytes (provenance only; sources live in the
-    /// suite).
-    Source,
-    /// A compiled program for one build type.
-    Compiled,
-    /// A decoded program for one pass mask and cost model.
-    Decoded,
-    /// One run unit's measured [`RunResult`].
-    RunUnit,
-    /// One experiment's aggregate results frame.
-    Aggregate,
-    /// A rendered plot.
-    Plot,
-}
-
-impl NodeKind {
-    /// Every kind, in display order.
-    pub const ALL: [NodeKind; 6] = [
-        NodeKind::Source,
-        NodeKind::Compiled,
-        NodeKind::Decoded,
-        NodeKind::RunUnit,
-        NodeKind::Aggregate,
-        NodeKind::Plot,
-    ];
-
-    /// The stable name recorded in the graph index.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            NodeKind::Source => "source",
-            NodeKind::Compiled => "compiled",
-            NodeKind::Decoded => "decoded",
-            NodeKind::RunUnit => "run_unit",
-            NodeKind::Aggregate => "aggregate",
-            NodeKind::Plot => "plot",
-        }
-    }
-
-    /// Parses a stable name back.
-    pub fn parse(s: &str) -> Option<NodeKind> {
-        NodeKind::ALL.into_iter().find(|k| k.as_str() == s)
-    }
-}
-
-impl std::fmt::Display for NodeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+use crate::lab::store::append_index_line;
 
 // ---------------------------------------------------------------------
 // Key derivation
@@ -166,17 +118,6 @@ pub fn unit_key(
     d.finish()
 }
 
-/// The aggregate-frame key: every run-unit key in matrix order plus the
-/// policies that shape the frame from the same runs.
-pub fn aggregate_key(units: &[Digest], repetitions: &str, tool: &str) -> Digest {
-    let mut d = DigestBuilder::new();
-    for u in units {
-        feed(&mut d, *u);
-    }
-    d.update_str(repetitions).update_str(tool);
-    d.finish()
-}
-
 // ---------------------------------------------------------------------
 // The on-disk node cache
 // ---------------------------------------------------------------------
@@ -188,8 +129,6 @@ pub struct GraphIndexEntry {
     pub seq: u64,
     /// The node's key (`fex256:…`).
     pub digest: String,
-    /// What the node is.
-    pub kind: NodeKind,
     /// Digest of the payload bytes as written — `fex lab fsck`
     /// recomputes this to catch silently-edited or torn payloads.
     pub payload_digest: String,
@@ -198,23 +137,16 @@ pub struct GraphIndexEntry {
 impl GraphIndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("digest", &self.digest);
-        w.num("seq", self.seq as i64)
-            .str("kind", self.kind.as_str())
-            .str("payload", &self.payload_digest);
+        w.num("seq", self.seq as i64).str("payload", &self.payload_digest);
         w.finish()
     }
 
     pub(crate) fn parse(line: &str) -> Result<GraphIndexEntry> {
         let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
         let map = journal::parse_flat_object(line).map_err(bad)?;
-        let kind_name = journal::get_str(&map, "kind").map_err(bad)?;
-        let kind = NodeKind::parse(kind_name).ok_or_else(|| {
-            FexError::Data(format!("corrupt graph index: unknown kind `{kind_name}`"))
-        })?;
         Ok(GraphIndexEntry {
             seq: journal::get_u64(&map, "seq").map_err(bad)?,
             digest: journal::get_str(&map, "digest").map_err(bad)?.to_string(),
-            kind,
             payload_digest: journal::get_str(&map, "payload").map_err(bad)?.to_string(),
         })
     }
@@ -232,8 +164,8 @@ impl GraphIndexEntry {
 #[derive(Debug)]
 pub struct ArtifactGraph {
     root: PathBuf,
-    /// digest value → kind, for O(1) lookups.
-    index: HashMap<u128, NodeKind>,
+    /// Indexed digest values, for O(1) lookups.
+    index: HashSet<u128>,
     next_seq: u64,
     warnings: Vec<String>,
     hits: u64,
@@ -258,8 +190,7 @@ impl ArtifactGraph {
         })?;
         let (entries, warnings) = Self::scan_at(&root);
         let next_seq = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
-        let index =
-            entries.iter().filter_map(|e| parse_digest(&e.digest).map(|d| (d.0, e.kind))).collect();
+        let index = entries.iter().filter_map(|e| parse_digest(&e.digest)).map(|d| d.0).collect();
         Ok(ArtifactGraph { root, index, next_seq, warnings, hits: 0, misses: 0 })
     }
 
@@ -295,7 +226,7 @@ impl ArtifactGraph {
 
     /// Whether a node with this key exists.
     pub fn contains(&self, digest: &Digest) -> bool {
-        self.index.contains_key(&digest.0)
+        self.index.contains(&digest.0)
     }
 
     /// Nodes currently indexed.
@@ -322,11 +253,12 @@ impl ArtifactGraph {
     /// Unreadable or torn payloads degrade to a miss — the unit simply
     /// re-executes — never an error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
-        let served = match self.index.get(&digest.0) {
-            Some(NodeKind::RunUnit) => fs::read_to_string(self.payload_path(digest))
+        let served = if self.contains(digest) {
+            fs::read_to_string(self.payload_path(digest))
                 .ok()
-                .and_then(|text| run_from_json(text.trim())),
-            _ => None,
+                .and_then(|text| run_from_json(text.trim()))
+        } else {
+            None
         };
         match served {
             Some(run) => {
@@ -348,64 +280,29 @@ impl ArtifactGraph {
     ///
     /// [`FexError::Data`] on filesystem failures.
     pub fn store_run(&mut self, digest: &Digest, run: &RunResult) -> Result<()> {
-        self.store_node(NodeKind::RunUnit, digest, &run_to_json(run))
-    }
-
-    /// Stores an arbitrary node payload (source/compiled/decoded
-    /// provenance, aggregate frames). Idempotent like [`store_run`].
-    ///
-    /// [`store_run`]: ArtifactGraph::store_run
-    ///
-    /// # Errors
-    ///
-    /// [`FexError::Data`] on filesystem failures.
-    pub fn store_node(&mut self, kind: NodeKind, digest: &Digest, payload: &str) -> Result<()> {
         if self.contains(digest) {
             return Ok(());
         }
+        let payload = run_to_json(run);
         let io = |e: std::io::Error| FexError::Data(format!("graph write failed: {e}"));
         let dir = self.node_dir(digest);
         fs::create_dir_all(&dir).map_err(io)?;
-        fs::write(dir.join("payload.json"), payload).map_err(io)?;
+        fs::write(dir.join("payload.json"), &payload).map_err(io)?;
         let entry = GraphIndexEntry {
             seq: self.next_seq,
             digest: digest.to_string(),
-            kind,
             payload_digest: digest_bytes(payload.as_bytes()).to_string(),
         };
-        let mut index = fs::read_to_string(self.index_path()).unwrap_or_default();
-        if !index.is_empty() && !index.ends_with('\n') {
-            // A previous append was torn mid-line (crash); seal the torn
-            // fragment onto its own line so the new entry stays parseable.
-            index.push('\n');
-        }
-        index.push_str(&entry.to_json());
-        index.push('\n');
-        fs::write(self.index_path(), index).map_err(io)?;
-        self.index.insert(digest.0, kind);
+        append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
+        self.index.insert(digest.0);
         self.next_seq += 1;
         Ok(())
-    }
-
-    /// Node counts per kind, for `fex graph stats`.
-    pub fn node_counts(&self) -> BTreeMap<NodeKind, usize> {
-        let mut counts = BTreeMap::new();
-        for kind in self.index.values() {
-            *counts.entry(*kind).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Renders `fex graph stats` output.
     pub fn render_stats(&self) -> String {
         let mut s = format!("artifact graph at `{}`\n", self.root.display());
-        let counts = self.node_counts();
-        let _ = writeln!(s, "{:<10} {:>6}", "kind", "nodes");
-        for kind in NodeKind::ALL {
-            let _ =
-                writeln!(s, "{:<10} {:>6}", kind.as_str(), counts.get(&kind).copied().unwrap_or(0));
-        }
-        let _ = writeln!(s, "{:<10} {:>6}", "total", self.len());
+        let _ = writeln!(s, "nodes {}", self.len());
         for w in &self.warnings {
             let _ = writeln!(s, "warning: {w}");
         }
@@ -431,7 +328,7 @@ pub(crate) fn node_dir_at(root: &Path, digest: &str) -> PathBuf {
 }
 
 /// Parses a `fex256:<hex>` digest string back into a [`Digest`].
-pub(crate) fn parse_digest(s: &str) -> Option<Digest> {
+fn parse_digest(s: &str) -> Option<Digest> {
     u128::from_str_radix(s.strip_prefix("fex256:")?, 16).ok().map(Digest)
 }
 
@@ -449,7 +346,7 @@ pub(crate) fn parse_digest(s: &str) -> Option<Digest> {
 fn run_to_json(run: &RunResult) -> String {
     let c = &run.counters;
     let h = &run.heap;
-    let mut w = JsonLine::object("node", NodeKind::RunUnit.as_str());
+    let mut w = JsonLine::object("node", "run_unit");
     w.num("exit", run.exit)
         .str("stdout", &run.stdout)
         .num("elapsed_cycles", run.elapsed_cycles as i64)
@@ -528,7 +425,7 @@ fn run_from_json(line: &str) -> Option<RunResult> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn temp_lab(tag: &str) -> PathBuf {
@@ -537,7 +434,7 @@ mod tests {
         dir
     }
 
-    fn sample_run() -> RunResult {
+    pub(crate) fn sample_run() -> RunResult {
         RunResult {
             exit: 7,
             stdout: "norm: 3.5\n".into(),
@@ -609,12 +506,6 @@ mod tests {
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "test", &[64], None));
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "native", &[32], None));
         assert_ne!(unit, unit_key(decoded, 7, 2, Some(0), "native", &[64], Some(50_000)));
-
-        // Aggregate keys see unit order and policy.
-        let a = aggregate_key(&[compiled, decoded], "Fixed(3)", "perf_stat");
-        assert_ne!(a, aggregate_key(&[decoded, compiled], "Fixed(3)", "perf_stat"));
-        assert_ne!(a, aggregate_key(&[compiled, decoded], "Fixed(5)", "perf_stat"));
-        assert_ne!(a, aggregate_key(&[compiled, decoded], "Fixed(3)", "time"));
     }
 
     #[test]
@@ -646,8 +537,8 @@ mod tests {
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
         assert!(g2.warnings().is_empty());
         assert_eq!(g2.lookup_run(&key), Some(run));
-        assert_eq!(g2.node_counts().get(&NodeKind::RunUnit), Some(&1));
-        assert!(g2.render_stats().contains("run_unit"));
+        assert_eq!(g2.len(), 1);
+        assert!(g2.render_stats().contains("nodes 1"));
         let _ = fs::remove_dir_all(&lab);
     }
 

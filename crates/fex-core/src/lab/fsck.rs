@@ -643,16 +643,16 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
-    /// A populated store with a small artifact graph beside it: one node
-    /// per kind layer, stored through the real graph API so index lines
+    /// A populated store with a small artifact graph beside it: three
+    /// run-unit nodes, stored through the real graph API so index lines
     /// and payload digests are genuine.
     fn populated_with_graph(tag: &str) -> RunStore {
         use fex_container::Digest;
         let store = populated(tag);
         let mut g = graph::ArtifactGraph::open(store.root()).unwrap();
-        g.store_node(graph::NodeKind::Source, &Digest(1), "{\"node\":\"source\"}\n").unwrap();
-        g.store_node(graph::NodeKind::Compiled, &Digest(2), "{\"node\":\"compiled\"}\n").unwrap();
-        g.store_node(graph::NodeKind::RunUnit, &Digest(3), "{\"node\":\"run\"}\n").unwrap();
+        for key in 1..=3 {
+            g.store_run(&Digest(key), &graph::tests::sample_run()).unwrap();
+        }
         store
     }
 

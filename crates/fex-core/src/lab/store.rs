@@ -181,15 +181,7 @@ impl RunStore {
             .num("failures", entry.failures as i64)
             .str("journal_digest", art.journal_digest.unwrap_or(""));
         fs::write(dir.join("record.json"), record.finish() + "\n").map_err(io)?;
-        let mut index = fs::read_to_string(self.index_path()).unwrap_or_default();
-        if !index.is_empty() && !index.ends_with('\n') {
-            // A previous append was torn mid-line (crash); seal the torn
-            // fragment onto its own line so the new entry stays parseable.
-            index.push('\n');
-        }
-        index.push_str(&entry.to_json());
-        index.push('\n');
-        fs::write(self.index_path(), index).map_err(io)?;
+        append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
         Ok(entry)
     }
 
@@ -408,6 +400,20 @@ impl RunStore {
     pub(crate) fn next_seq(&self) -> Result<u64> {
         Ok(self.list()?.iter().map(|e| e.seq).max().map_or(0, |m| m + 1))
     }
+}
+
+/// Appends one line to an append-only index file (the run store's and the
+/// artifact graph's), rewriting the file whole.
+pub(crate) fn append_index_line(path: &Path, line: &str) -> std::io::Result<()> {
+    let mut index = fs::read_to_string(path).unwrap_or_default();
+    if !index.is_empty() && !index.ends_with('\n') {
+        // A previous append was torn mid-line (crash); seal the torn
+        // fragment onto its own line so the new entry stays parseable.
+        index.push('\n');
+    }
+    index.push_str(line);
+    index.push('\n');
+    fs::write(path, index)
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub use config::{ExperimentConfig, Repetitions};
 pub use diag::{DiagConfig, DiagCtx, DiagFormat, DiagReport, Finding, ReproScore, Severity};
 pub use error::{FexError, Result};
 pub use fuzz::{BreakMode, FuzzOptions, FuzzReport};
-pub use graph::{ArtifactGraph, NodeKind};
+pub use graph::ArtifactGraph;
 pub use journal::{Journal, JournalEvent, Metrics};
 pub use lab::{Comparison, RunStore, Verdict};
 pub use resilience::{FailureRecord, FailureReport, RunOutcome, RunPolicy};

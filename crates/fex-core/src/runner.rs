@@ -27,8 +27,8 @@ use crate::collect::{Collector, DataFrame};
 use crate::config::{input_name, ExperimentConfig};
 use crate::env::environment_for;
 use crate::error::{FexError, Result};
-use crate::graph::{ArtifactGraph, NodeKind};
-use crate::journal::{Journal, JournalEvent, JsonLine};
+use crate::graph::ArtifactGraph;
+use crate::journal::{Journal, JournalEvent};
 use crate::resilience::{AttemptLog, FailureRecord, FailureReport, QuarantineBook, RunOutcome};
 use crate::sched::{execute_units, RunUnit, UnitOutcome, UnitWork};
 
@@ -306,7 +306,7 @@ impl SuiteRunner {
             .ok_or_else(|| FexError::Config(format!("`{bench}` was not built for `{ty}`")))?;
         Ok(UnitWork {
             program: artifact.program.clone(),
-            decoded: ctx.config.decode_cache.then(|| artifact.decoded.clone()),
+            decoded: Some(artifact.decoded.clone()),
             args,
             config: ctx.config.unit_machine_config(bench, ty, threads, rep, 0),
         })
@@ -725,33 +725,6 @@ impl Runner for SuiteRunner {
                     cache_hit: builds_after == builds_before,
                     wall_ns: started.elapsed().as_nanos() as u64,
                 });
-            }
-            // Record the artifact's provenance chain as graph nodes —
-            // source → compiled → decoded — so `fex graph stats` and
-            // `fex lab fsck` see the whole derivation, not just run
-            // units. Stores are idempotent: warm re-runs re-derive the
-            // same keys and skip the writes.
-            let graph_on = ctx.config.graph;
-            if let Some(g) = ctx.graph.as_mut().filter(|_| graph_on) {
-                let opts = ctx.build.makefiles().build_options(ty, ctx.config.debug)?;
-                let source_key = fex_cc::source_digest(&bench, prog.source);
-                let compiled_key = crate::graph::compiled_key(
-                    source_key,
-                    opts.backend.name,
-                    opts.backend.version,
-                    opts.opt_level,
-                    opts.asan,
-                    opts.debug,
-                );
-                let mut src = JsonLine::object("node", "source");
-                src.str("benchmark", &bench);
-                g.store_node(NodeKind::Source, &source_key, &src.finish())?;
-                let mut comp = JsonLine::object("node", "compiled");
-                comp.str("benchmark", &bench).str("build_info", &artifact.build_info);
-                g.store_node(NodeKind::Compiled, &compiled_key, &comp.finish())?;
-                let mut dec = JsonLine::object("node", "decoded");
-                dec.str("benchmark", &bench).str("build_type", ty);
-                g.store_node(NodeKind::Decoded, &artifact.digest, &dec.finish())?;
             }
             self.artifacts.insert((ty.to_string(), bench), artifact);
         }

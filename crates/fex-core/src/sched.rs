@@ -75,8 +75,8 @@ pub struct UnitWork {
     /// The compiled program, shared with the build cache.
     pub program: Arc<Program>,
     /// Pre-decoded form of `program` out of the decoded-artifact cache,
-    /// shared lock-free across workers; `None` (the `--no-decode-cache`
-    /// escape hatch) makes every load decode afresh.
+    /// shared lock-free across workers. The pipeline always supplies it;
+    /// `None` (direct embeddings) makes every load decode afresh.
     pub decoded: Option<Arc<DecodedProgram>>,
     /// Entry arguments for the chosen input size.
     pub args: Vec<i64>,

@@ -240,13 +240,13 @@ impl Fex {
         if journal.enabled() {
             // Decoded-artifact cache accounting for the whole experiment:
             // decodes happened at build time; every successful execution
-            // with the cache on was served a pre-decoded program.
+            // was served a pre-decoded program.
             let (_, decodes_after) = self.build.work_performed();
-            let served = if config.decode_cache {
-                journal.events().iter().filter(|e| matches!(e, JournalEvent::VmExec { .. })).count()
-            } else {
-                0
-            };
+            let served = journal
+                .events()
+                .iter()
+                .filter(|e| matches!(e, JournalEvent::VmExec { .. }))
+                .count();
             journal.emit(JournalEvent::DecodeCache {
                 decodes: decodes_after - decodes_before,
                 served,
@@ -311,24 +311,6 @@ impl Fex {
                 entry.seq,
                 store.root().display()
             ));
-        }
-        if let Some(mut g) = graph {
-            // The aggregate node closes the derivation chain: keyed by
-            // the same content digest as the lab store's run id, so one
-            // aggregate node exists per distinct result set. Idempotent
-            // on warm re-runs.
-            let art = crate::lab::RunArtifacts {
-                results_csv: &results_csv,
-                failures_csv: &failures_csv,
-                metrics_json: None,
-                journal_digest: None,
-            };
-            let run_id = crate::lab::RunStore::run_id(config, &art);
-            if let Some(key) = crate::graph::parse_digest(&run_id) {
-                let mut w = crate::journal::JsonLine::object("node", "aggregate");
-                w.str("experiment", &config.name).num("rows", frame.len() as i64);
-                g.store_node(crate::graph::NodeKind::Aggregate, &key, &w.finish())?;
-            }
         }
         self.container
             .fs_mut()

@@ -378,24 +378,6 @@ pub fn decode_program(program: &Program, cost: &CostModel) -> Result<DecodedProg
     decode_program_passes(program, cost, PassMask::all())
 }
 
-/// Lowers `program` for execution under `cost`, running the full pass
-/// pipeline only when `fusion` is set — the historical all-or-nothing
-/// switch behind `--no-fusion`, kept as an alias for
-/// [`decode_program_passes`] (measured results are identical either
-/// way).
-///
-/// # Errors
-///
-/// [`DecodeError`] under the same conditions as [`decode_program`].
-pub fn decode_program_with(
-    program: &Program,
-    cost: &CostModel,
-    fusion: bool,
-) -> Result<DecodedProgram, DecodeError> {
-    let mask = if fusion { PassMask::all() } else { PassMask::none() };
-    decode_program_passes(program, cost, mask)
-}
-
 /// Lowers `program` for execution under `cost`, running exactly the
 /// peephole passes enabled in `mask` (in registry order). Structural
 /// decoding — translation, jump-target validation, block accrual — is
@@ -710,7 +692,8 @@ mod tests {
         assert_eq!(back, original);
         // Block accrual is computed from the source stream and must be
         // untouched by fusion.
-        let unfused = decode_program_with(&p, &CostModel::default(), false).expect("decodes");
+        let unfused =
+            decode_program_passes(&p, &CostModel::default(), PassMask::none()).expect("decodes");
         assert_eq!(d.functions[0].blocks, unfused.functions[0].blocks);
         assert_eq!(d.functions[0].accrual, unfused.functions[0].accrual);
     }
@@ -739,19 +722,10 @@ mod tests {
     fn fusion_off_produces_no_fused_variants() {
         let mut p = Program::new();
         p.push_function(func(fusable_code()));
-        let d = decode_program_with(&p, &CostModel::default(), false).expect("decodes");
+        let d =
+            decode_program_passes(&p, &CostModel::default(), PassMask::none()).expect("decodes");
         assert_eq!(d.passes, PassMask::none());
         assert!(!d.functions[0].code.iter().any(is_fused));
-    }
-
-    #[test]
-    fn empty_pipeline_is_byte_identical_to_the_fusion_off_alias() {
-        let mut p = Program::new();
-        p.push_function(func(fusable_code()));
-        p.push_function(func(every_variant()));
-        let none = decode_program_passes(&p, &CostModel::default(), PassMask::none());
-        let off = decode_program_with(&p, &CostModel::default(), false);
-        assert_eq!(none.expect("decodes"), off.expect("decodes"));
     }
 
     /// The `a[k] = a[k] op x` shape: address calc, load, modify, store —

@@ -12,7 +12,7 @@
 //!
 //! Passes are registered by name in [`PASSES`], in canonical pipeline
 //! order, and selected with a [`PassMask`] (`--passes` / `--no-pass` on
-//! the CLI; `--no-fusion` is the switch-everything-off alias):
+//! the CLI; `--passes none` switches everything off):
 //!
 //! | name | rewrites |
 //! |---|---|
@@ -100,7 +100,7 @@ impl PassMask {
     }
 
     /// The empty pipeline: structural decode only, no rewrites
-    /// (`--no-fusion`).
+    /// (`--passes none`).
     pub fn none() -> Self {
         PassMask(0)
     }

@@ -11,16 +11,21 @@
 //!    subsets and fault injection.
 //! 2. **Precise invalidation** — changing one derivation input (a
 //!    cost-model knob, the pass subset) dirties exactly the dependent
-//!    node layers and nothing upstream.
+//!    key layers and nothing upstream.
+//! 3. **Old labs still serve** — a graph index written before the graph
+//!    stored only run units (lines carrying a `kind` key, plus source,
+//!    compiled, decoded and aggregate nodes) opens without warnings,
+//!    serves every run unit warm and passes `fex lab fsck`.
 
 use std::path::Path;
+use std::process::Command;
 
 use proptest::prelude::*;
 
 use fex_core::build::{BuildSystem, MakefileSet};
 use fex_core::config::FaultInjection;
 use fex_core::runner::{RunContext, Runner, SuiteRunner};
-use fex_core::{ArtifactGraph, ExperimentConfig, JournalEvent, Metrics, NodeKind};
+use fex_core::{ArtifactGraph, ExperimentConfig, JournalEvent, Metrics};
 use fex_suites::InputSize;
 use fex_vm::{CostModel, FaultKind, FaultPlan, PassMask};
 
@@ -187,17 +192,16 @@ fn cost_knob_change_dirties_exactly_the_dependent_nodes() {
     assert_ne!(unit_base, unit_tweaked, "run units downstream must be dirtied");
 
     // Upstream layers are untouched: the same source and compiled keys
-    // are derived regardless of the cost model, so a warm re-run reuses
-    // their nodes as-is.
+    // are derived regardless of the cost model.
     let source_again = fex_cc::source_digest("fft", "int main() { return fft(); }");
     let compiled_again = compiled_key(source_again, "gcc", "6.1.0", 2, false, false);
     assert_eq!(source, source_again);
     assert_eq!(compiled, compiled_again);
 }
 
-/// Changing the pass subset between runs adds new decoded and run-unit
-/// nodes but reuses the source and compiled layers, and re-running
-/// either configuration afterwards is fully warm.
+/// Changing the pass subset between runs re-keys the decoded layer, so
+/// every run unit is stored afresh, and re-running either configuration
+/// afterwards is fully warm.
 #[test]
 fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     let base = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
@@ -212,20 +216,7 @@ fn pass_subset_change_dirties_decoded_and_run_layers_only() {
     assert_eq!(m1, m2, "same unit count under both subsets");
 
     let graph = ArtifactGraph::open(&lab).unwrap();
-    let counts = graph.node_counts();
-    let micro_benches = m1 as usize;
-    assert_eq!(counts.get(&NodeKind::Source).copied().unwrap_or(0), micro_benches);
-    assert_eq!(
-        counts.get(&NodeKind::Compiled).copied().unwrap_or(0),
-        micro_benches,
-        "compiled nodes are shared across pass subsets"
-    );
-    assert_eq!(
-        counts.get(&NodeKind::Decoded).copied().unwrap_or(0),
-        2 * micro_benches,
-        "each pass subset has its own decoded layer"
-    );
-    assert_eq!(counts.get(&NodeKind::RunUnit).copied().unwrap_or(0), 2 * micro_benches);
+    assert_eq!(graph.len() as u64, m1 + m2, "the graph stores exactly the run units");
 
     let (_, _, _, (h3, m3)) = run_micro_graphed(&all, &lab);
     let (_, _, _, (h4, m4)) = run_micro_graphed(&none, &lab);
@@ -250,4 +241,68 @@ fn no_graph_escape_hatch_is_byte_invisible() {
     assert!(ArtifactGraph::open(&lab_off).unwrap().is_empty(), "--no-graph must not store");
     let _ = std::fs::remove_dir_all(&lab_on);
     let _ = std::fs::remove_dir_all(&lab_off);
+}
+
+/// A lab whose graph was filled before the graph stored only run units:
+/// index lines carry a `kind` key, and source, compiled, decoded and
+/// aggregate nodes sit beside the run units. Such a lab must open
+/// without warnings, serve every run unit warm and pass `fex lab fsck`.
+#[test]
+fn graph_index_with_kinds_and_provenance_nodes_still_serves() {
+    let config = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
+    let lab = temp_dir("legacy-kinds");
+    let (cold_csv, _, _, (_, cold_misses)) = run_micro_graphed(&config, &lab);
+
+    // Rewrite the index in the older format: every run-unit line gains
+    // `"kind":"run_unit"`, and one node of each provenance kind is added
+    // with its payload, exactly as the older writer laid them out.
+    let groot = lab.join(ArtifactGraph::SUBDIR);
+    let mut nodes: Vec<(String, &str, String)> = Vec::new();
+    for kind in ["source", "compiled", "decoded"] {
+        let digest = fex_container::digest_bytes(format!("legacy {kind}").as_bytes());
+        nodes.push((digest.to_string(), kind, format!("{{\"node\":\"{kind}\"}}")));
+    }
+    let mut run_dirs: Vec<_> = std::fs::read_dir(groot.join("nodes"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    run_dirs.sort();
+    for hex in run_dirs {
+        let payload =
+            std::fs::read_to_string(groot.join("nodes").join(&hex).join("payload.json")).unwrap();
+        nodes.push((format!("fex256:{hex}"), "run_unit", payload));
+    }
+    let aggregate = fex_container::digest_bytes(b"legacy aggregate");
+    nodes.push((aggregate.to_string(), "aggregate", "{\"node\":\"aggregate\"}".into()));
+    let mut index = String::new();
+    for (seq, (digest, kind, payload)) in nodes.iter().enumerate() {
+        let dir = groot.join("nodes").join(digest.trim_start_matches("fex256:"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("payload.json"), payload).unwrap();
+        let payload_digest = fex_container::digest_bytes(payload.as_bytes());
+        index.push_str(&format!(
+            "{{\"digest\":\"{digest}\",\"seq\":{seq},\"kind\":\"{kind}\",\
+             \"payload\":\"{payload_digest}\"}}\n"
+        ));
+    }
+    std::fs::write(groot.join("index.json"), index).unwrap();
+
+    let graph = ArtifactGraph::open(&lab).unwrap();
+    assert!(graph.warnings().is_empty(), "{:?}", graph.warnings());
+    assert_eq!(graph.len(), nodes.len());
+    drop(graph);
+
+    let (warm_csv, _, _, (warm_hits, warm_misses)) = run_micro_graphed(&config, &lab);
+    assert_eq!((warm_hits, warm_misses), (cold_misses, 0), "every run unit is served warm");
+    assert_eq!(warm_csv, cold_csv);
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fex"))
+        .args(["lab", "fsck", "--lab", lab.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "fsck failed: {stdout}");
+    assert!(stdout.contains(&format!("checked {} graph nodes", nodes.len())), "{stdout}");
+    assert!(stdout.contains("store is clean"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&lab);
 }

@@ -654,8 +654,7 @@ proptest! {
             &base
                 .passes(PassMask::from_bits(mask_bits))
                 .chunk(chunk)
-                .mru(false)
-                .decode_cache(false),
+                .mru(false),
         );
         prop_assert_eq!(on_csv, off_csv);
         prop_assert_eq!(on_failures, off_failures);
