@@ -54,7 +54,6 @@ fn matrix_config(input: InputSize, reps: usize, jobs: usize, optimised: bool) ->
         .resilience(RunPolicy::default())
         .jobs(jobs)
         .passes(if optimised { PassMask::all() } else { PassMask::none() })
-        .mru(optimised)
 }
 
 /// One timed pass over the experiment matrix. Returns (seconds, CSV,

@@ -199,7 +199,7 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                 return Ok(ExitCode::from(2));
             }
         }
-        Action::Diag { journal, lab, format, config, jobs, rules, deny } => {
+        Action::Diag { journal, lab, format, config, rules, deny } => {
             let mut diag_config = match &config {
                 // An explicit --config must exist; a missing default
                 // fex.toml just means defaults.
@@ -227,7 +227,7 @@ fn run(args: &[String]) -> Result<ExitCode, FexError> {
                     eprintln!("fex: warning: {w}");
                 }
             }
-            let report = fex_core::diag::run_diag(&ctx, jobs);
+            let report = fex_core::diag::run_diag(&ctx);
             print!("{}", fex_core::diag::output::render(&report, format));
             if report.worst() == Some(fex_core::Severity::Error) {
                 eprintln!(

@@ -251,7 +251,7 @@ impl BuildSystem {
     }
 
     /// Sets the peephole pass subset artifacts are decoded with
-    /// (`--passes`/`--no-pass`). The subset is part of the cache key, so
+    /// (`--passes`). The subset is part of the cache key, so
     /// changing it can never serve a stale decoded form.
     pub fn set_passes(&mut self, passes: PassMask) {
         self.passes = passes;

@@ -106,8 +106,6 @@ pub enum Action {
         /// Explicit config file (`--config`); default: `fex.toml` in the
         /// working directory when present.
         config: Option<String>,
-        /// Rule-evaluation workers (`--jobs`, 0 = auto).
-        jobs: usize,
         /// Allow-list override (`--rules`, comma-separated ids).
         rules: Vec<String>,
         /// Deny-list additions (`--deny`, comma-separated ids).
@@ -226,8 +224,6 @@ diag options:
                    (default: ./fex.toml when present)
   --rules <ids>    comma-separated allow-list; only these rules run
   --deny <ids>     comma-separated deny-list; these rules never run
-  --jobs <n>       rule-evaluation workers, 0 = auto (output is identical
-                   for every value)
 
 compare selectors are CSV paths, archived run-id prefixes, `latest`, or
 `prev` (the two newest store entries).
@@ -235,8 +231,6 @@ compare selectors are CSV paths, archived run-id prefixes, `latest`, or
 debug escape hatches (measured results are identical either way):
   --passes <list>    decode pass pipeline subset, comma-separated in
                      pipeline order (trace,fuse,immfold), or all/none
-  --no-pass <name>   drop one pass from the pipeline (repeatable)
-  --no-mru           disable the cache simulator's MRU fast path
 ";
 
 /// Parses `args` (without the program name).
@@ -411,7 +405,6 @@ pub fn parse(args: &[String]) -> Result<Action> {
             let mut lab: Option<String> = None;
             let mut format = crate::diag::DiagFormat::Human;
             let mut config: Option<String> = None;
-            let mut jobs = 0usize;
             let mut rules: Vec<String> = Vec::new();
             let mut deny: Vec<String> = Vec::new();
             let ids = |list: &str| -> Vec<String> {
@@ -437,14 +430,6 @@ pub fn parse(args: &[String]) -> Result<Action> {
                                 .cloned()
                                 .ok_or_else(|| FexError::Config("--config needs a path".into()))?,
                         );
-                    }
-                    "--jobs" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--jobs needs a count".into()))?;
-                        jobs = v
-                            .parse()
-                            .map_err(|_| FexError::Config(format!("bad job count `{v}`")))?;
                     }
                     "--rules" => {
                         let v = it
@@ -473,7 +458,7 @@ pub fn parse(args: &[String]) -> Result<Action> {
                     "diag needs a journal path and/or --lab <dir>".into(),
                 ));
             }
-            Ok(Action::Diag { journal, lab, format, config, jobs, rules, deny })
+            Ok(Action::Diag { journal, lab, format, config, rules, deny })
         }
         "compare" => {
             let mut dir = String::from(".fex-lab");
@@ -653,14 +638,6 @@ pub fn parse(args: &[String]) -> Result<Action> {
                         cfg.passes = PassMask::from_names(names)
                             .map_err(|e| FexError::Config(e.to_string()))?;
                     }
-                    "--no-pass" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| FexError::Config("--no-pass needs a name".into()))?;
-                        cfg.passes =
-                            cfg.passes.without(v).map_err(|e| FexError::Config(e.to_string()))?;
-                    }
-                    "--no-mru" => cfg.mru_fast_path = false,
                     "--no-journal" => cfg.journal = false,
                     "--no-graph" => cfg.graph = false,
                     other => return Err(FexError::Config(format!("unknown run flag `{other}`"))),
@@ -760,7 +737,7 @@ mod tests {
     #[test]
     fn parses_all_run_flags() {
         let Action::Run(cfg) = parse(&argv(
-            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --passes none --no-mru",
+            "run -n phoenix -t gcc_native gcc_asan -b histogram -m 1 2 4 -r 10 -i test -v -d --no-build --tool time --jobs 4 --passes none",
         ))
         .unwrap() else {
             panic!("expected run");
@@ -772,7 +749,6 @@ mod tests {
         assert_eq!(cfg.tool, MeasureTool::Time);
         assert_eq!(cfg.jobs, 4);
         assert_eq!(cfg.passes, PassMask::none());
-        assert!(!cfg.mru_fast_path);
         assert_eq!(cfg.lab, None, "runs stay ephemeral unless --lab is given");
     }
 
@@ -783,11 +759,6 @@ mod tests {
         };
         assert!(cfg.passes.enables("trace") && cfg.passes.enables("immfold"));
         assert!(!cfg.passes.enables("fuse"));
-        let Action::Run(cfg) = parse(&argv("run -n micro --no-pass fuse")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(!cfg.passes.enables("fuse"));
-        assert!(cfg.passes.enables("trace") && cfg.passes.enables("immfold"));
         let Action::Run(cfg) = parse(&argv("run -n micro --passes none")).unwrap() else {
             panic!("expected run");
         };
@@ -806,7 +777,10 @@ mod tests {
         assert!(err.to_string().contains("duplicate pass"), "{err}");
         let err = parse(&argv("run -n micro --passes immfold,trace")).unwrap_err();
         assert!(err.to_string().contains("out of pipeline order"), "{err}");
-        assert!(parse(&argv("run -n micro --no-pass bogus")).is_err());
+        for removed in ["--no-pass fuse", "--no-mru"] {
+            let err = parse(&argv(&format!("run -n micro {removed}"))).unwrap_err();
+            assert!(err.to_string().contains("unknown run flag"), "{removed}: {err}");
+        }
         assert!(parse(&argv("run -n micro --passes")).is_err());
         assert!(parse(&argv("run -n micro --chunk many")).is_err());
         assert!(parse(&argv("run -n micro --chunk")).is_err());
@@ -885,7 +859,7 @@ mod tests {
 
     #[test]
     fn parses_diag() {
-        let Action::Diag { journal, lab, format, config, jobs, rules, deny } =
+        let Action::Diag { journal, lab, format, config, rules, deny } =
             parse(&argv("diag target/fex-results/micro.journal.jsonl")).unwrap()
         else {
             panic!("expected diag");
@@ -894,14 +868,13 @@ mod tests {
         assert_eq!(lab, None);
         assert_eq!(format, crate::diag::DiagFormat::Human);
         assert_eq!(config, None);
-        assert_eq!(jobs, 0);
         assert!(rules.is_empty() && deny.is_empty());
     }
 
     #[test]
     fn parses_diag_flags() {
-        let Action::Diag { journal, lab, format, config, jobs, rules, deny } = parse(&argv(
-            "diag j.jsonl --lab /tmp/store --format sarif --config fex.toml --jobs 3 \
+        let Action::Diag { journal, lab, format, config, rules, deny } = parse(&argv(
+            "diag j.jsonl --lab /tmp/store --format sarif --config fex.toml \
              --rules flakiness,variance-anomaly --deny variance-anomaly",
         ))
         .unwrap() else {
@@ -911,7 +884,6 @@ mod tests {
         assert_eq!(lab.as_deref(), Some("/tmp/store"));
         assert_eq!(format, crate::diag::DiagFormat::Sarif);
         assert_eq!(config.as_deref(), Some("fex.toml"));
-        assert_eq!(jobs, 3);
         assert_eq!(rules, vec!["flakiness".to_string(), "variance-anomaly".to_string()]);
         assert_eq!(deny, vec!["variance-anomaly".to_string()]);
     }
@@ -932,6 +904,8 @@ mod tests {
         assert!(parse(&argv("diag a.jsonl b.jsonl")).is_err(), "one journal only");
         assert!(parse(&argv("diag j.jsonl --format xml")).is_err());
         assert!(parse(&argv("diag j.jsonl --frobnicate")).is_err());
+        let err = parse(&argv("diag j.jsonl --jobs 2")).unwrap_err();
+        assert!(err.to_string().contains("unknown diag flag"), "{err}");
     }
 
     #[test]
@@ -1017,7 +991,6 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(cfg.passes, PassMask::all());
-        assert!(cfg.mru_fast_path);
     }
 
     #[test]

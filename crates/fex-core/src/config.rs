@@ -164,12 +164,9 @@ pub struct ExperimentConfig {
     /// means auto — tuned from the matrix width and worker count.
     pub chunk: usize,
     /// The peephole pass subset run over the VM's decoded stream
-    /// (`--passes`/`--no-pass` select it; measured results are
-    /// identical for any subset).
+    /// (`--passes` selects it; measured results are identical for any
+    /// subset).
     pub passes: PassMask,
-    /// MRU line fast path in the cache simulator (`--no-mru` clears it;
-    /// measured results are identical).
-    pub mru_fast_path: bool,
     /// Record the structured run journal (`--no-journal` clears it;
     /// results and failure CSVs are byte-identical either way).
     pub journal: bool,
@@ -202,7 +199,6 @@ impl ExperimentConfig {
             jobs: 0,
             chunk: 0,
             passes: PassMask::all(),
-            mru_fast_path: true,
             journal: true,
             graph: true,
             lab: None,
@@ -289,7 +285,7 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the peephole pass subset (`--passes`/`--no-pass`).
+    /// Selects the peephole pass subset (`--passes`).
     pub fn passes(mut self, passes: PassMask) -> Self {
         self.passes = passes;
         self
@@ -298,12 +294,6 @@ impl ExperimentConfig {
     /// Sets the scheduler chunk size (`--chunk`); `0` means auto.
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
-        self
-    }
-
-    /// Enables or disables the MRU cache fast path (`--no-mru`).
-    pub fn mru(mut self, on: bool) -> Self {
-        self.mru_fast_path = on;
         self
     }
 
@@ -370,7 +360,6 @@ impl ExperimentConfig {
             cores: threads.max(1),
             seed,
             passes: self.passes,
-            mru_fast_path: self.mru_fast_path,
             ..MachineConfig::default()
         };
         if let Some(plan) = self.fault_plan_for(bench) {

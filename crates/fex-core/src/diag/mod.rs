@@ -10,9 +10,8 @@
 //! Actions annotations, or a human table (see [`output`]).
 //!
 //! Determinism is a hard invariant, matching the rest of the codebase:
-//! findings are sorted by rule id, then location, then message; no
-//! wall-clock or host fields ever reach the output; and the `--jobs`
-//! worker count used to evaluate rules concurrently cannot move a byte.
+//! findings are sorted by rule id, then location, then message, and no
+//! wall-clock or host fields ever reach the output.
 //!
 //! The module also computes the [`ReproScore`] shown by `fex lab list`:
 //! a readiness-vs-outcome split (did the run *record* enough to be
@@ -24,8 +23,6 @@ pub mod preset;
 pub mod rules;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::error::{FexError, Result};
 use crate::journal::{self, JournalEvent, Metrics};
@@ -83,9 +80,8 @@ pub struct Finding {
 
 /// One diagnostics rule: a pure function of the [`DiagCtx`].
 ///
-/// Rules must be deterministic and side-effect free — the engine may
-/// evaluate them concurrently (`--jobs`) and byte-compares output across
-/// schedules in the differential tests.
+/// Rules must be deterministic and side-effect free: the differential
+/// tests byte-compare the output of repeated runs.
 pub trait Rule: Sync {
     /// Stable kebab-case identifier (`--rules`/`--deny` and SARIF
     /// `ruleId`).
@@ -209,42 +205,13 @@ impl DiagReport {
     }
 }
 
-/// Runs every enabled rule over `ctx` with up to `jobs` worker threads
-/// (`0` = auto) and returns the sorted findings.
-///
-/// Concurrency is an implementation detail: findings are sorted by
-/// `(rule, file, line, message)` afterwards, so any schedule produces
-/// byte-identical output.
-pub fn run_diag(ctx: &DiagCtx, jobs: usize) -> DiagReport {
+/// Runs every enabled rule over `ctx` and returns the findings sorted
+/// by `(rule, file, line, message)`.
+pub fn run_diag(ctx: &DiagCtx) -> DiagReport {
     let rules: Vec<&'static dyn Rule> =
         registry().iter().copied().filter(|r| ctx.config.enables(r.id())).collect();
     let rules_run: Vec<&'static str> = rules.iter().map(|r| r.id()).collect();
-
-    let workers = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, usize::from).min(rules.len().max(1)),
-        n => n.min(rules.len().max(1)),
-    };
-
-    let mut findings: Vec<Finding> = if workers <= 1 {
-        rules.iter().flat_map(|r| r.check(ctx)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(rule) = rules.get(i) else { break };
-                    let found = rule.check(ctx);
-                    if !found.is_empty() {
-                        collected.lock().expect("diag worker poisoned").extend(found);
-                    }
-                });
-            }
-        });
-        collected.into_inner().expect("diag worker poisoned")
-    };
-
+    let mut findings: Vec<Finding> = rules.iter().flat_map(|r| r.check(ctx)).collect();
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, &a.message).cmp(&(b.rule, &b.file, b.line, &b.message))
     });
@@ -478,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn run_diag_is_schedule_independent() {
+    fn run_diag_reports_a_garbage_journal_line_as_an_error() {
         let good = crate::journal::JournalEvent::DecodeCache { decodes: 1, served: 2 }.to_json();
         let text = format!("{good}\ngarbage\n");
         let ctx = DiagCtx {
@@ -486,10 +453,6 @@ mod tests {
             store: None,
             config: DiagConfig::default(),
         };
-        let sequential = run_diag(&ctx, 1);
-        for jobs in [0, 2, 8] {
-            assert_eq!(run_diag(&ctx, jobs), sequential, "jobs {jobs} drifted");
-        }
-        assert_eq!(sequential.worst(), Some(Severity::Error), "garbage line is an error");
+        assert_eq!(run_diag(&ctx).worst(), Some(Severity::Error), "garbage line is an error");
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! | oracle     | invariant                                                       |
 //! |------------|-----------------------------------------------------------------|
-//! | `toggles`  | `--passes none --no-mru` → byte-identical CSVs                  |
+//! | `toggles`  | `--passes none` → byte-identical CSVs                           |
 //! | `jobs`     | `--jobs N` vs `--jobs 1` → identical CSVs and journal streams   |
 //! | `metrics`  | journal roll-up jobs-invariant and consistent with CSV totals   |
 //! | `store`    | write→read lossless, identical reruns share a run id, no false  |
@@ -328,9 +328,9 @@ pub fn check_case(
 
     let base = run_scenario(&suite, base_cfg.clone())?;
 
-    // Oracle `toggles`: the pass pipeline and the MRU fast path are
-    // performance-only — disabling both must not move a byte.
-    let mut toggles = run_scenario(&suite, base_cfg.clone().passes(PassMask::none()).mru(false))?;
+    // Oracle `toggles`: the pass pipeline is performance-only —
+    // disabling it must not move a byte.
+    let mut toggles = run_scenario(&suite, base_cfg.clone().passes(PassMask::none()))?;
     if break_mode == Some(BreakMode::Fusion) {
         toggles.results.push_str("tampered,row,by,FEX_FUZZ_BREAK,0,0,0\n");
     }

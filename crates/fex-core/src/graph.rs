@@ -46,7 +46,7 @@ use fex_vm::{CacheStats, HeapStats, PerfCounters, RunResult};
 
 use crate::error::{FexError, Result};
 use crate::journal::{self, JsonLine};
-use crate::lab::store::append_index_line;
+use crate::lab::store::{append_index_line, scan_index};
 
 // ---------------------------------------------------------------------
 // Key derivation
@@ -91,11 +91,10 @@ pub fn decoded_key(compiled: Digest, pass_bits: u8, cost_fingerprint: u64) -> Di
 /// resilience instruction budget (the only policy knob that can change a
 /// clean run's outcome).
 ///
-/// Deliberately excluded: `--jobs`, `--chunk`, the MRU fast path and the
-/// decode cache (all proven result-neutral by the differential suites),
-/// the measurement tool (extraction happens at collect time from the same
-/// [`RunResult`]), and the retry attempt (only first attempts are
-/// cached).
+/// Deliberately excluded: `--jobs` and `--chunk` (both proven
+/// result-neutral by the differential suites), the measurement tool
+/// (extraction happens at collect time from the same [`RunResult`]), and
+/// the retry attempt (only first attempts are cached).
 pub fn unit_key(
     decoded: Digest,
     unit_seed: u64,
@@ -202,21 +201,9 @@ impl ArtifactGraph {
     /// Reads a graph index with per-line fault isolation: every parseable
     /// entry plus one warning per skipped line.
     pub fn scan_at(root: &Path) -> (Vec<GraphIndexEntry>, Vec<String>) {
-        let Ok(text) = fs::read_to_string(root.join("index.json")) else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match GraphIndexEntry::parse(line) {
-                Ok(e) => entries.push(e),
-                Err(e) => warnings.push(format!("skipping graph index line {}: {e}", i + 1)),
-            }
-        }
-        (entries, warnings)
+        let (entries, skipped) =
+            scan_index(&root.join("index.json"), "graph index", GraphIndexEntry::parse);
+        (entries, skipped.into_iter().map(|(_, warning)| warning).collect())
     }
 
     /// Warnings accumulated while opening (corrupt index lines).

@@ -14,14 +14,16 @@
 //! deterministically so both the unit tests here and the `fex fuzz`
 //! recovery oracle can drive the checker against every failure mode.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
+use std::path::{Path, PathBuf};
 
 use crate::error::{FexError, Result};
 use crate::graph;
 use crate::journal::{self, Json};
 
-use super::store::{IndexEntry, RunStore};
+use super::store::{scan_index, IndexEntry, RunStore};
 
 /// What kind of damage an [`FsckIssue`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,45 +142,45 @@ impl FsckReport {
 /// Checks every invariant of the store without touching it.
 pub fn check(store: &RunStore) -> FsckReport {
     let mut report = FsckReport::default();
-    let (entries, warnings) = store.scan();
+    let (entries, skipped) = scan_index(&store.index_path(), "index", IndexEntry::parse);
     report.entries_checked = entries.len();
-    let index_lines = fs::read_to_string(store.index_path()).unwrap_or_default();
-    for (i, line) in index_lines.lines().enumerate() {
-        if !line.trim().is_empty() && IndexEntry::parse(line).is_err() {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::CorruptIndexLine,
-                subject: format!("index line {}", i + 1),
-                detail: warnings
-                    .iter()
-                    .find(|w| w.contains(&format!("line {}", i + 1)))
-                    .cloned()
-                    .unwrap_or_else(|| "unparseable".into()),
-            });
-        }
+    for (line, warning) in skipped {
+        report.issues.push(FsckIssue {
+            kind: IssueKind::CorruptIndexLine,
+            subject: format!("index line {line}"),
+            detail: warning,
+        });
     }
     for entry in &entries {
         check_entry(store, entry, &mut report);
     }
-    // Orphans: artifact directories no parseable entry references.
-    let referenced: std::collections::BTreeSet<String> =
-        entries.iter().map(|e| e.run_id.trim_start_matches("fex256:").to_string()).collect();
-    if let Ok(dirs) = fs::read_dir(store.root().join("runs")) {
-        let mut orphans: Vec<String> = dirs
-            .filter_map(|d| d.ok())
-            .map(|d| d.file_name().to_string_lossy().into_owned())
-            .filter(|name| !referenced.contains(name))
-            .collect();
-        orphans.sort();
-        for name in orphans {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::OrphanRunDir,
-                subject: format!("fex256:{name}"),
-                detail: "no index entry references this directory".into(),
-            });
-        }
+    let runs = store.root().join("runs");
+    for name in orphan_dirs(&runs, entries.iter().map(|e| e.run_id.as_str())) {
+        report.issues.push(FsckIssue {
+            kind: IssueKind::OrphanRunDir,
+            subject: format!("fex256:{name}"),
+            detail: "no index entry references this directory".into(),
+        });
     }
     check_graph(store, &mut report);
     report
+}
+
+/// Names of the directories under `dir` that no `referenced` id
+/// (`fex256:` prefix optional) points at, sorted.
+fn orphan_dirs<'a>(dir: &Path, referenced: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let referenced: BTreeSet<&str> =
+        referenced.map(|id| id.trim_start_matches("fex256:")).collect();
+    let Ok(dirs) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut orphans: Vec<String> = dirs
+        .filter_map(|d| d.ok())
+        .map(|d| d.file_name().to_string_lossy().into_owned())
+        .filter(|name| !referenced.contains(name.as_str()))
+        .collect();
+    orphans.sort();
+    orphans
 }
 
 /// The artifact-graph pass: same invariants as the run store, applied to
@@ -189,17 +191,15 @@ fn check_graph(store: &RunStore, report: &mut FsckReport) {
     if !groot.is_dir() {
         return;
     }
-    let index_lines = fs::read_to_string(groot.join("index.json")).unwrap_or_default();
-    for (i, line) in index_lines.lines().enumerate() {
-        if !line.trim().is_empty() && graph::GraphIndexEntry::parse(line).is_err() {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::CorruptGraphIndexLine,
-                subject: format!("graph index line {}", i + 1),
-                detail: "unparseable".into(),
-            });
-        }
+    let (entries, skipped) =
+        scan_index(&groot.join("index.json"), "graph index", graph::GraphIndexEntry::parse);
+    for (line, _) in skipped {
+        report.issues.push(FsckIssue {
+            kind: IssueKind::CorruptGraphIndexLine,
+            subject: format!("graph index line {line}"),
+            detail: "unparseable".into(),
+        });
     }
-    let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
     report.graph_nodes_checked = entries.len();
     for entry in &entries {
         let payload_path = graph::node_dir_at(&groot, &entry.digest).join("payload.json");
@@ -223,23 +223,12 @@ fn check_graph(store: &RunStore, report: &mut FsckReport) {
             }
         }
     }
-    // Orphans: node directories no parseable graph entry references.
-    let referenced: std::collections::BTreeSet<String> =
-        entries.iter().map(|e| e.digest.trim_start_matches("fex256:").to_string()).collect();
-    if let Ok(dirs) = fs::read_dir(groot.join("nodes")) {
-        let mut orphans: Vec<String> = dirs
-            .filter_map(|d| d.ok())
-            .map(|d| d.file_name().to_string_lossy().into_owned())
-            .filter(|name| !referenced.contains(name))
-            .collect();
-        orphans.sort();
-        for name in orphans {
-            report.issues.push(FsckIssue {
-                kind: IssueKind::OrphanGraphNode,
-                subject: format!("fex256:{name}"),
-                detail: "no graph index entry references this node".into(),
-            });
-        }
+    for name in orphan_dirs(&groot.join("nodes"), entries.iter().map(|e| e.digest.as_str())) {
+        report.issues.push(FsckIssue {
+            kind: IssueKind::OrphanGraphNode,
+            subject: format!("fex256:{name}"),
+            detail: "no graph index entry references this node".into(),
+        });
     }
 }
 
@@ -321,62 +310,63 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     let qdir = store.root().join("quarantine");
     fs::create_dir_all(&qdir)
         .map_err(|e| FexError::Data(format!("cannot create `{}`: {e}", qdir.display())))?;
-    let bad_runs: std::collections::BTreeSet<&str> = report
+    let entries = store.scan().0.into_iter().map(|e| (e.run_id.clone(), e.to_json()));
+    let run_dir = |run_id: &str| store.run_dir(run_id);
+    quarantine_side(&mut report, false, &qdir, run_dir, &store.index_path(), entries)?;
+    // The graph gets the same treatment: bad node directories move under
+    // `quarantine/graph-<digest>`.
+    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
+    if groot.is_dir() && report.issues.iter().any(|i| i.kind.is_graph()) {
+        let entries = graph::ArtifactGraph::scan_at(&groot)
+            .0
+            .into_iter()
+            .map(|e| (e.digest.clone(), e.to_json()));
+        let node_dir = |digest: &str| graph::node_dir_at(&groot, digest);
+        quarantine_side(&mut report, true, &qdir, node_dir, &groot.join("index.json"), entries)?;
+    }
+    Ok(report)
+}
+
+/// The quarantine step the store and the graph share. Every subject with
+/// an issue on this side (`graph`), other than a corrupt index line, has
+/// its directory (`dir_of`) moved under `qdir` and is recorded as
+/// quarantined; then `index` is rewritten to the `(subject, line)`
+/// entries that are left, which drops corrupt lines and bad entries in
+/// one go.
+fn quarantine_side(
+    report: &mut FsckReport,
+    graph: bool,
+    qdir: &Path,
+    dir_of: impl Fn(&str) -> PathBuf,
+    index: &Path,
+    entries: impl Iterator<Item = (String, String)>,
+) -> Result<()> {
+    let bad: BTreeSet<String> = report
         .issues
         .iter()
-        .filter(|i| i.kind != IssueKind::CorruptIndexLine && !i.kind.is_graph())
-        .map(|i| i.subject.as_str())
+        .filter(|i| i.kind.is_graph() == graph)
+        .filter(|i| {
+            !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::CorruptGraphIndexLine)
+        })
+        .map(|i| i.subject.clone())
         .collect();
-    for run_id in &bad_runs {
-        let short = run_id.trim_start_matches("fex256:");
-        let src = store.run_dir(run_id);
+    let tag = if graph { "graph-" } else { "" };
+    for subject in &bad {
+        let src = dir_of(subject);
         if src.is_dir() {
-            fs::rename(&src, qdir.join(short)).map_err(|e| {
+            let short = subject.trim_start_matches("fex256:");
+            fs::rename(&src, qdir.join(format!("{tag}{short}"))).map_err(|e| {
                 FexError::Data(format!("cannot quarantine `{}`: {e}", src.display()))
             })?;
         }
-        report.quarantined.push((*run_id).to_string());
+        report.quarantined.push(subject.clone());
     }
-    // Rewriting the index drops corrupt lines and bad entries in one go.
-    let (entries, _) = store.scan();
     let survivors: String = entries
-        .iter()
-        .filter(|e| !bad_runs.contains(e.run_id.as_str()))
-        .map(|e| e.to_json() + "\n")
+        .filter(|(subject, _)| !bad.contains(subject))
+        .map(|(_, line)| line + "\n")
         .collect();
-    fs::write(store.index_path(), survivors)
-        .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
-    // The graph gets the same treatment: bad node directories move under
-    // `quarantine/graph-<digest>` and the graph index is rewritten to
-    // its survivors.
-    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    if groot.is_dir() && report.issues.iter().any(|i| i.kind.is_graph()) {
-        let bad_nodes: std::collections::BTreeSet<&str> = report
-            .issues
-            .iter()
-            .filter(|i| i.kind.is_graph() && i.kind != IssueKind::CorruptGraphIndexLine)
-            .map(|i| i.subject.as_str())
-            .collect();
-        for digest in &bad_nodes {
-            let short = digest.trim_start_matches("fex256:");
-            let src = graph::node_dir_at(&groot, digest);
-            if src.is_dir() {
-                fs::rename(&src, qdir.join(format!("graph-{short}"))).map_err(|e| {
-                    FexError::Data(format!("cannot quarantine `{}`: {e}", src.display()))
-                })?;
-            }
-            report.quarantined.push((*digest).to_string());
-        }
-        let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-        let survivors: String = entries
-            .iter()
-            .filter(|e| !bad_nodes.contains(e.digest.as_str()))
-            .map(|e| e.to_json() + "\n")
-            .collect();
-        fs::write(groot.join("index.json"), survivors)
-            .map_err(|e| FexError::Data(format!("graph index write failed: {e}")))?;
-    }
-    Ok(report)
+    fs::write(index, survivors)
+        .map_err(|e| FexError::Data(format!("cannot rewrite `{}`: {e}", index.display())))
 }
 
 // ---------------------------------------------------------------------

@@ -203,21 +203,8 @@ impl RunStore {
     /// the journal reader. A store whose last append was torn by a crash
     /// stays listable, resolvable and appendable.
     pub fn scan(&self) -> (Vec<IndexEntry>, Vec<String>) {
-        let Ok(text) = fs::read_to_string(self.index_path()) else {
-            return (Vec::new(), Vec::new());
-        };
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match IndexEntry::parse(line) {
-                Ok(e) => entries.push(e),
-                Err(e) => warnings.push(format!("skipping index line {}: {e}", i + 1)),
-            }
-        }
-        (entries, warnings)
+        let (entries, skipped) = scan_index(&self.index_path(), "index", IndexEntry::parse);
+        (entries, skipped.into_iter().map(|(_, warning)| warning).collect())
     }
 
     /// Resolves a selector to an index entry: `latest` (newest entry),
@@ -400,6 +387,33 @@ impl RunStore {
     pub(crate) fn next_seq(&self) -> Result<u64> {
         Ok(self.list()?.iter().map(|e| e.seq).max().map_or(0, |m| m + 1))
     }
+}
+
+/// Reads an append-only index file (the run store's or the artifact
+/// graph's) with per-line fault isolation: every line `parse` accepts,
+/// plus a `(line number, warning)` pair per skipped line, the warning
+/// naming the index by `label`. Blank lines are ignored and a missing
+/// file reads as empty.
+pub(crate) fn scan_index<T>(
+    path: &Path,
+    label: &str,
+    parse: impl Fn(&str) -> Result<T>,
+) -> (Vec<T>, Vec<(usize, String)>) {
+    let Ok(text) = fs::read_to_string(path) else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut entries = Vec::new();
+    let mut skipped = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parse(line) {
+            Ok(e) => entries.push(e),
+            Err(e) => skipped.push((i + 1, format!("skipping {label} line {}: {e}", i + 1))),
+        }
+    }
+    (entries, skipped)
 }
 
 /// Appends one line to an append-only index file (the run store's and the

@@ -11,7 +11,8 @@
 //!   same currency as everything else), an optional per-run instruction
 //!   budget (watchdog against hangs), and the failure threshold after
 //!   which a benchmark is quarantined.
-//! * [`execute_with_retry`] — drives one run action through the policy.
+//! * [`execute_with_retry_value`] — drives one run action through the
+//!   policy and carries its value out.
 //! * [`QuarantineBook`] — tracks per-benchmark failures and decides when
 //!   a benchmark is excluded from the rest of the experiment.
 //! * [`FailureReport`] / [`FailureRecord`] — the structured account of
@@ -57,8 +58,7 @@ impl RunPolicy {
     /// A policy that never retries and never quarantines: the loop then
     /// behaves exactly like the paper's original Fig 4 loop for run
     /// faults too (first failure is recorded, the benchmark quarantines
-    /// immediately at threshold 1 — use [`RunPolicy::strict`] to abort
-    /// instead).
+    /// immediately at threshold 1).
     pub fn no_retries() -> Self {
         RunPolicy { max_retries: 0, ..RunPolicy::default() }
     }
@@ -121,11 +121,6 @@ impl AttemptLog {
 /// faults re-roll per attempt. Only *run faults* ([`FexError::Run`]) are
 /// retried; configuration, lookup and build errors fail fast on the first
 /// attempt.
-pub fn execute_with_retry(policy: &RunPolicy, action: impl FnMut(u64) -> Result<()>) -> AttemptLog {
-    execute_with_retry_value(policy, action).0
-}
-
-/// Like [`execute_with_retry`], but the action produces a value.
 ///
 /// Returns the attempt log plus the successful attempt's value (`None`
 /// when every attempt failed). The scheduler uses this to carry each run
@@ -371,7 +366,7 @@ mod tests {
 
     #[test]
     fn clean_success_needs_one_attempt_and_no_backoff() {
-        let log = execute_with_retry(&RunPolicy::default(), |_| Ok(()));
+        let log = execute_with_retry_value(&RunPolicy::default(), |_| Ok(())).0;
         assert_eq!(log.attempts, 1);
         assert_eq!(log.backoff_cycles, 0);
         assert!(log.result.is_ok() && !log.recovered() && log.errors.is_empty());
@@ -381,14 +376,15 @@ mod tests {
     fn transient_failures_recover_within_the_retry_budget() {
         let policy = RunPolicy::default().retries(3);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |attempt| {
+        let log = execute_with_retry_value(&policy, |attempt| {
             calls += 1;
             if attempt < 2 {
                 Err(run_fault("flaky"))
             } else {
                 Ok(())
             }
-        });
+        })
+        .0;
         assert_eq!(calls, 3);
         assert_eq!(log.attempts, 3);
         assert!(log.recovered());
@@ -401,10 +397,11 @@ mod tests {
     fn persistent_failures_exhaust_retries() {
         let policy = RunPolicy::default().retries(2);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |_| {
+        let log = execute_with_retry_value::<()>(&policy, |_| {
             calls += 1;
             Err(run_fault("broken"))
-        });
+        })
+        .0;
         assert_eq!(calls, 3, "first attempt + 2 retries");
         assert!(log.result.is_err());
         assert_eq!(log.errors.len(), 3);
@@ -414,10 +411,11 @@ mod tests {
     fn non_run_errors_fail_fast() {
         let policy = RunPolicy::default().retries(5);
         let mut calls = 0;
-        let log = execute_with_retry(&policy, |_| {
+        let log = execute_with_retry_value::<()>(&policy, |_| {
             calls += 1;
             Err(FexError::Config("bad".into()))
-        });
+        })
+        .0;
         assert_eq!(calls, 1, "config errors must not be retried");
         assert!(matches!(log.result, Err(FexError::Config(_))));
     }
@@ -425,7 +423,7 @@ mod tests {
     #[test]
     fn attempt_numbers_feed_the_fault_salt() {
         let mut seen = Vec::new();
-        let _ = execute_with_retry(&RunPolicy::default().retries(2), |attempt| {
+        let _ = execute_with_retry_value::<()>(&RunPolicy::default().retries(2), |attempt| {
             seen.push(attempt);
             Err(run_fault("x"))
         });

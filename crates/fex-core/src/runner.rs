@@ -446,8 +446,8 @@ impl SuiteRunner {
         loop {
             let mut batch: Vec<RunUnit> = Vec::new();
             let mut origins: Vec<Origin> = Vec::new();
-            if round == 0 {
-                for (g, group) in groups.iter().enumerate() {
+            for (g, group) in groups.iter().enumerate() {
+                if round == 0 {
                     batch.push(RunUnit {
                         ty: group.ty.clone(),
                         bench: group.bench.clone(),
@@ -470,59 +470,43 @@ impl SuiteRunner {
                         },
                     });
                     origins.push(Origin::Dry(g));
-                    for ci in group.cells.clone() {
-                        let cell = &cells[ci];
-                        for rep in 0..reps.min_reps() {
-                            batch.push(RunUnit {
-                                ty: cell.ty.clone(),
-                                bench: cell.bench.clone(),
-                                threads: cell.threads,
-                                rep: Some(rep),
-                                input: input_name(cell.input),
-                                record: true,
-                                line: None,
-                                work: Some(self.unit_work(
-                                    ctx,
-                                    &cell.ty,
-                                    &cell.bench,
-                                    cell.threads,
-                                    Some(rep),
-                                    cell.input,
-                                )?),
-                            });
-                            origins.push(Origin::Rep(ci));
-                        }
+                }
+                for ci in group.cells.clone() {
+                    let cell = &cells[ci];
+                    let target = if round == 0 {
+                        reps.min_reps()
+                    } else if reps.wants_more(cell.done, &cell.samples) {
+                        cell.done + 1
+                    } else {
+                        cell.done
+                    };
+                    for rep in cell.done..target {
+                        batch.push(RunUnit {
+                            ty: cell.ty.clone(),
+                            bench: cell.bench.clone(),
+                            threads: cell.threads,
+                            rep: Some(rep),
+                            input: input_name(cell.input),
+                            record: true,
+                            line: None,
+                            work: Some(self.unit_work(
+                                ctx,
+                                &cell.ty,
+                                &cell.bench,
+                                cell.threads,
+                                Some(rep),
+                                cell.input,
+                            )?),
+                        });
+                        origins.push(Origin::Rep(ci));
                     }
                 }
+            }
+            if round == 0 {
                 ctx.log(format!("scheduler: {} run units across {jobs} workers", batch.len()));
+            } else if batch.is_empty() {
+                break;
             } else {
-                for (ci, cell) in cells.iter().enumerate() {
-                    if !reps.wants_more(cell.done, &cell.samples) {
-                        continue;
-                    }
-                    let rep = cell.done;
-                    batch.push(RunUnit {
-                        ty: cell.ty.clone(),
-                        bench: cell.bench.clone(),
-                        threads: cell.threads,
-                        rep: Some(rep),
-                        input: input_name(cell.input),
-                        record: true,
-                        line: None,
-                        work: Some(self.unit_work(
-                            ctx,
-                            &cell.ty,
-                            &cell.bench,
-                            cell.threads,
-                            Some(rep),
-                            cell.input,
-                        )?),
-                    });
-                    origins.push(Origin::Rep(ci));
-                }
-                if batch.is_empty() {
-                    break;
-                }
                 ctx.log(format!("scheduler: adaptive round {round}: {} run units", batch.len()));
             }
             // Artifact-graph partition: serve cached clean units without

@@ -13,7 +13,7 @@
 //!    in Fig 4 order. Each unit carries an
 //!    [`Arc`]-shared program out of the build cache (each bench × type
 //!    compiles exactly once) and a fully-derived
-//!    [`MachineConfig`](fex_vm::MachineConfig).
+//!    [`MachineConfig`].
 //! 2. **Execute** — [`execute_units`] dispatches units over a
 //!    self-scheduling worker pool: workers claim the next unclaimed
 //!    **contiguous chunk** of indices from a shared atomic counter (work

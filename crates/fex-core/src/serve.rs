@@ -31,13 +31,13 @@
 //!   inside the pipeline.
 //! * **Fleet mode** — a submission with `fleet > 0` shards its
 //!   benchmarks across a simulated homogeneous host fleet via
-//!   [`DistributedRun`](crate::distributed::DistributedRun), with host
-//!   losses injected either explicitly (`fleet_kill`) or from
-//!   [`fex_netsim::fleet`]'s seeded discrete-event failure timeline.
-//!   Because unit results are pure functions of their coordinates and
-//!   the fleet is homogeneous, a campaign that loses hosts mid-flight
-//!   and re-distributes work yields [`canonical_fleet_csv`] output
-//!   byte-identical to an undisturbed run.
+//!   [`DistributedRun`], with host losses injected either explicitly
+//!   (`fleet_kill`) or from [`fex_netsim::fleet`]'s seeded
+//!   discrete-event failure timeline. Because unit results are pure
+//!   functions of their coordinates and the fleet is homogeneous, a
+//!   campaign that loses hosts mid-flight and re-distributes work
+//!   yields [`canonical_fleet_csv`] output byte-identical to an
+//!   undisturbed run.
 //!
 //! Clean shutdown (`{"op": "shutdown"}`) stops intake, drains every
 //! queued submission to its client, then exits; the daemon's own journal

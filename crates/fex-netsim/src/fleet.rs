@@ -2,7 +2,7 @@
 //! discrete-event failure timeline over a homogeneous cluster.
 //!
 //! The serve daemon's fleet mode shards a submission's benchmarks across
-//! simulated hosts via [`fex_core::distributed`]'s partitioner. This
+//! simulated hosts via `fex_core::distributed`'s partitioner. This
 //! module supplies the *failure model*: given a fleet and a seeded mean
 //! time between failures, it plays a discrete-event timeline (exponential
 //! inter-arrival draws against a fixed tick horizon) and reports which

@@ -11,7 +11,6 @@
 //!
 //! [`Memory`]: crate::Memory
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A virtual register index, local to one stack frame.
@@ -363,15 +362,6 @@ impl Program {
     /// Looks up a function by name.
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
         self.functions.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
-    }
-
-    /// Map from function name to id (for linkers / test harnesses).
-    pub fn function_table(&self) -> HashMap<&str, FuncId> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), FuncId(i as u32)))
-            .collect()
     }
 
     /// Total static instruction count across all functions.

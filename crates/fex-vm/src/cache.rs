@@ -109,8 +109,8 @@ pub struct Cache {
     /// line touched in its own set too, i.e. it sits at way 0: re-touching
     /// it cannot change LRU order, so the set walk can be skipped.
     mru: Option<u64>,
-    /// Whether the MRU memo short-circuit is taken (`--no-mru` disables
-    /// it for debugging; results are identical either way).
+    /// Whether the MRU memo short-circuit is taken (off only for the
+    /// slow reference path; results are identical either way).
     fast_path: bool,
 }
 
@@ -194,11 +194,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(INVALID_TAG);
         self.mru = None;
-    }
-
-    /// Resets statistics to zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

@@ -307,12 +307,6 @@ impl<'p> Instance<'p> {
         &self.hijacks
     }
 
-    /// Direct write access to simulated memory (for harnesses seeding
-    /// inputs). Does not charge cycles.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Runs the program's entry function.
     ///
     /// # Errors

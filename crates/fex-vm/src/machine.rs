@@ -76,11 +76,13 @@ pub struct MachineConfig {
     /// Deterministic fault injection (disabled by default).
     pub fault_plan: FaultPlan,
     /// The peephole pass subset run over the decoded stream
-    /// (`--passes`/`--no-pass` select it; `--passes none` empties it
-    /// for debugging; measured results are identical for any subset).
+    /// (`--passes` selects it; `--passes none` empties it for
+    /// debugging; measured results are identical for any subset).
     pub passes: PassMask,
-    /// MRU line memo in the cache simulator (`--no-mru` disables it;
-    /// measured results are identical).
+    /// MRU line memo in the cache simulator. Always on in `fex run`; the
+    /// off setting is the slow reference the cache differential tests and
+    /// the `vm_hotpath` bench compare against (measured results are
+    /// identical).
     pub mru_fast_path: bool,
 }
 

@@ -11,8 +11,8 @@
 //! invariants in [`crate::decode`]).
 //!
 //! Passes are registered by name in [`PASSES`], in canonical pipeline
-//! order, and selected with a [`PassMask`] (`--passes` / `--no-pass` on
-//! the CLI; `--passes none` switches everything off):
+//! order, and selected with a [`PassMask`] (`--passes` on the CLI;
+//! `--passes none` switches everything off):
 //!
 //! | name | rewrites |
 //! |---|---|
@@ -34,7 +34,7 @@ use crate::decode::DecodedInstr;
 /// Registry entry for one peephole pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassInfo {
-    /// Registry name (`--passes` / `--no-pass` operand).
+    /// Registry name (`--passes` operand).
     pub name: &'static str,
     /// The pass's bit in a [`PassMask`].
     pub bit: u8,
@@ -130,7 +130,8 @@ impl PassMask {
         Ok(PassMask(self.0 | lookup(name)?.bit))
     }
 
-    /// This mask with the named pass disabled (`--no-pass <name>`).
+    /// This mask with the named pass disabled (the leave-one-out rows of
+    /// the `vm_hotpath` bench).
     ///
     /// # Errors
     ///

@@ -245,7 +245,7 @@ fn bad_pass_selections_exit_one_with_a_clean_message() {
         (&["run", "-n", "micro", "--passes", "bogus"], "unknown pass `bogus`"),
         (&["run", "-n", "micro", "--passes", "trace,trace"], "duplicate pass `trace`"),
         (&["run", "-n", "micro", "--passes", "fuse,trace"], "out of pipeline order"),
-        (&["run", "-n", "micro", "--no-pass", "bogus"], "unknown pass `bogus`"),
+        (&["run", "-n", "micro", "--no-pass", "bogus"], "unknown run flag `--no-pass`"),
     ];
     for (args, needle) in cases {
         let out = fex_bin().args(args).output().unwrap();

@@ -597,21 +597,20 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Measurement hot path: superinstruction fusion, the MRU cache fast path
-// and the decoded-artifact cache are pure speed — every observable
-// artifact (results CSV, failures CSV, clean/quarantine status) must be
-// byte-identical with the optimisations on and off, under fault
-// injection, at any worker count.
+// Measurement hot path: the decode pass pipeline (superinstruction
+// fusion among it) and the claim-chunk size are pure speed — every
+// observable artifact (results CSV, failures CSV, clean/quarantine
+// status) must be byte-identical with the optimisations on and off,
+// under fault injection, at any worker count.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any decode pass subset (plus the MRU and decoded-artifact caches
-    /// off) vs all hot-path optimisations ON: the suite matrix must
-    /// produce byte-identical results and failures CSVs, with and
-    /// without fault injection, sequentially and with `--jobs 8`, at any
-    /// claim-chunk size.
+    /// Any decode pass subset vs all hot-path optimisations ON: the
+    /// suite matrix must produce byte-identical results and failures
+    /// CSVs, with and without fault injection, sequentially and with
+    /// `--jobs 8`, at any claim-chunk size.
     #[test]
     fn hot_path_optimisations_never_change_measured_numbers(
         types_pick in 0usize..3,
@@ -651,10 +650,7 @@ proptest! {
         }
         let (on_csv, on_failures) = run_micro_with_failures(&base.clone());
         let (off_csv, off_failures) = run_micro_with_failures(
-            &base
-                .passes(PassMask::from_bits(mask_bits))
-                .chunk(chunk)
-                .mru(false),
+            &base.passes(PassMask::from_bits(mask_bits)).chunk(chunk),
         );
         prop_assert_eq!(on_csv, off_csv);
         prop_assert_eq!(on_failures, off_failures);
