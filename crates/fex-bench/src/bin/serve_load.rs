@@ -1,6 +1,6 @@
-//! `fex serve` load bench: a client fleet hammers an in-process daemon
-//! with a mixed unique/duplicate submission stream and gates the
-//! service-level invariants:
+//! `fex serve` load bench: concurrent clients hammer an in-process daemon
+//! with a mixed unique/duplicate submission stream, and the bench gates
+//! the service-level invariants:
 //!
 //! 1. **unique phase** — N distinct micro-suite submissions (benchmark ×
 //!    seed variations) from T tenants over C concurrent client
@@ -8,7 +8,10 @@
 //! 2. **duplicate phase** — the same N submissions again, each from a
 //!    *different* tenant: every duplicate must be served 100% from the
 //!    shared graph/store cache with results byte-identical to the
-//!    original, without executing anything.
+//!    original, without executing anything;
+//! 3. **lab check** — store hits read the archived runs back from the
+//!    shared lab, so the lab they were served from must pass
+//!    `fex lab fsck` clean.
 //!
 //! Queue latency (enqueue → dispatch, as journaled by the daemon and
 //! echoed in each result reply) is aggregated into per-phase p50/p95/p99
@@ -22,7 +25,7 @@ use std::time::Instant;
 
 use fex_bench::write_artifact;
 use fex_core::serve::{self, ServeOutcome, Submission};
-use fex_core::{ServeOptions, Server};
+use fex_core::{RunStore, ServeOptions, Server};
 
 const WORKERS: usize = 4;
 const CLIENTS: usize = 8;
@@ -147,6 +150,9 @@ fn main() {
     assert_eq!(summary.completed, 2 * unique as u64);
     assert_eq!(summary.store_hits, unique as u64);
     assert_eq!(summary.evictions, 0, "the bounded queue never overflowed");
+    let store = RunStore::open(dir.join("lab")).expect("lab opens");
+    let report = fex_core::lab::fsck::fsck(&store, false).expect("lab checks");
+    assert!(report.clean(), "the served lab must fsck clean:\n{}", report.render());
 
     let (cold_p50, cold_p95, cold_p99) = wait_percentiles(&cold);
     let (warm_p50, warm_p95, warm_p99) = wait_percentiles(&warm);

@@ -308,6 +308,44 @@ mod tests {
         assert!(run.execute(&mut build, &config).is_err());
     }
 
+    /// Unit results are pure functions of their coordinates, so on a
+    /// homogeneous cluster losing a host moves work without changing a
+    /// single measured value.
+    #[test]
+    fn killed_hosts_on_a_homogeneous_cluster_change_no_measurement() {
+        let cluster: Vec<HostSpec> =
+            (0..3).map(|i| HostSpec::new(format!("node{i}"), 2, 3.0e9)).collect();
+        let config = ExperimentConfig::new("micro")
+            .types(vec!["gcc_native"])
+            .input(InputSize::Test)
+            .repetitions(2);
+        let measured = |run: DistributedRun| {
+            let df = run.execute(&mut BuildSystem::new(MakefileSet::standard()), &config).unwrap();
+            let (host, rescheduled) = (df.col("host").unwrap(), df.col("rescheduled").unwrap());
+            let (ty, bench, rep) =
+                (df.col("type").unwrap(), df.col("benchmark").unwrap(), df.col("rep").unwrap());
+            let mut rows: Vec<_> = df
+                .iter()
+                .map(|r| {
+                    let cells: Vec<String> = (0..r.len())
+                        .filter(|&i| i != host && i != rescheduled)
+                        .map(|i| r[i].to_string())
+                        .collect();
+                    let rep = r[rep].as_num().unwrap() as i64;
+                    ((r[ty].to_string(), r[bench].to_string(), rep), cells)
+                })
+                .collect();
+            rows.sort();
+            rows.into_iter().map(|(_, cells)| cells).collect::<Vec<_>>()
+        };
+        let undisturbed =
+            measured(DistributedRun::new(fex_suites::micro(), cluster.clone()).unwrap());
+        let killed =
+            measured(DistributedRun::new(fex_suites::micro(), cluster).unwrap().kill_host("node1"));
+        assert_eq!(undisturbed.len(), 8, "4 benchmarks × 2 reps");
+        assert_eq!(undisturbed, killed);
+    }
+
     #[test]
     fn healthy_clusters_report_no_rescheduling() {
         let run = DistributedRun::new(fex_suites::micro(), hosts()).unwrap();

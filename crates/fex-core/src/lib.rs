@@ -30,8 +30,8 @@
 //!   pipeline against a golden-free invariant oracle, with shrinking
 //!   and repro bundles,
 //! * [`serve`] — the `fex serve` daemon: a multi-tenant experiment
-//!   service with a bounded priority queue, cross-tenant graph/store
-//!   cache reuse and a simulated-fleet mode with host-loss recovery,
+//!   service with a bounded priority queue and cross-tenant graph/store
+//!   cache reuse through the shared lab,
 //! * [`workflow`] — the [`Fex`] orchestrator (`fex.py`), running
 //!   everything inside the simulated [`fex-container`](fex_container)
 //!   with pinned-version [install scripts](install),

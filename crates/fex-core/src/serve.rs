@@ -18,26 +18,21 @@
 //! * **Cross-tenant cache reuse** — submissions are content-addressed
 //!   ([`Submission::key`] digests the suite sources and every config
 //!   axis, but *not* the tenant), so identical work from different
-//!   tenants is served from the daemon's store layer without running
+//!   tenants is served from the shared lab's run store without running
 //!   anything, and partially-overlapping work is served per run unit by
-//!   the shared `.fex-lab/graph/` artifact graph. Both layers are
-//!   journaled per tenant (`serve_stream` carries the hit accounting).
-//! * **Worker fleet** — a pool of real worker threads drains the queue.
-//!   The content-addressed [`RunStore`](crate::lab::RunStore) and
-//!   artifact graph rewrite their whole index file on append (their
-//!   crash-tolerance discipline), which makes them single-writer: the
-//!   daemon serializes lab access across workers with one gate while
-//!   each submission still fans its run units out over `--jobs` workers
-//!   inside the pipeline.
-//! * **Fleet mode** — a submission with `fleet > 0` shards its
-//!   benchmarks across a simulated homogeneous host fleet via
-//!   [`DistributedRun`], with host losses injected either explicitly
-//!   (`fleet_kill`) or from [`fex_netsim::fleet`]'s seeded
-//!   discrete-event failure timeline. Because unit results are pure
-//!   functions of their coordinates and the fleet is homogeneous, a
-//!   campaign that loses hosts mid-flight and re-distributes work
-//!   yields [`canonical_fleet_csv`] output byte-identical to an
-//!   undisturbed run.
+//!   the shared `.fex-lab/graph/` artifact graph. The daemon remembers
+//!   only which run id each key archived; a store hit reads the run's
+//!   CSVs back from `runs/<id>/` and digest-checks them the way
+//!   `fex lab fsck` does, and a missing or edited run is a miss that
+//!   executes again. Both layers are journaled per tenant
+//!   (`serve_stream` carries the hit accounting).
+//! * **Worker pool** — a pool of real worker threads drains the queue.
+//!   The content-addressed [`RunStore`] and artifact graph rewrite
+//!   their whole index file on append (their crash-tolerance
+//!   discipline), which makes them single-writer: the daemon serializes
+//!   lab access across workers with one gate while each submission still
+//!   fans its run units out over `--jobs` workers inside the pipeline.
+//!   Store hits only read, so they bypass the gate.
 //!
 //! Clean shutdown (`{"op": "shutdown"}`) stops intake, drains every
 //! queued submission to its client, then exits; the daemon's own journal
@@ -57,19 +52,32 @@ use fex_suites::{BenchProgram, InputSize, Suite};
 use fex_vm::MeasureTool;
 
 use crate::config::{ExperimentConfig, Repetitions};
-use crate::distributed::{DistributedRun, HostSpec};
 use crate::error::{FexError, Result};
 use crate::journal::{self, Journal, JournalEvent, Json, JsonLine};
+use crate::lab::RunStore;
 use crate::resilience::RunPolicy;
 use crate::workflow::Fex;
 
-/// Cores per simulated fleet host. Homogeneous shapes are what make
-/// re-distributed campaigns byte-identical to undisturbed ones.
-const FLEET_CORES: usize = 2;
-/// Clock of every simulated fleet host.
-const FLEET_FREQ_HZ: f64 = 3.0e9;
-/// Horizon (in ticks) the fleet failure timeline is played over.
-const FLEET_HORIZON: u64 = 1_000_000;
+/// Every field a `submit` line may carry besides `program.<name>`
+/// sources; anything else is rejected rather than silently ignored.
+const SUBMIT_FIELDS: [&str; 16] = [
+    "op",
+    "tenant",
+    "suite",
+    "benchmark",
+    "types",
+    "threads",
+    "reps",
+    "max_reps",
+    "precision_permille",
+    "seed",
+    "jobs",
+    "budget",
+    "input",
+    "tool",
+    "priority",
+    "stream",
+];
 
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,14 +149,6 @@ pub struct Submission {
     pub priority: i64,
     /// Whether journal events stream back live before the result.
     pub stream: bool,
-    /// Simulated fleet size; `0` runs locally through the full pipeline.
-    pub fleet: usize,
-    /// Hosts to kill explicitly mid-campaign (`node0`, …).
-    pub fleet_kill: Vec<String>,
-    /// Mean ticks between simulated host failures (`0` = none).
-    pub fleet_mtbf: u64,
-    /// Seed of the simulated failure timeline.
-    pub fleet_seed: u64,
 }
 
 impl Submission {
@@ -171,10 +171,6 @@ impl Submission {
             tool: "perf-stat".into(),
             priority: 0,
             stream: true,
-            fleet: 0,
-            fleet_kill: Vec::new(),
-            fleet_mtbf: 0,
-            fleet_seed: 0,
         }
     }
 
@@ -195,11 +191,7 @@ impl Submission {
             .str("input", &self.input)
             .str("tool", &self.tool)
             .num("priority", self.priority)
-            .bool("stream", self.stream)
-            .num("fleet", self.fleet as i64)
-            .str("fleet_kill", &self.fleet_kill.join(","))
-            .num("fleet_mtbf", self.fleet_mtbf as i64)
-            .num("fleet_seed", self.fleet_seed as i64);
+            .bool("stream", self.stream);
         for (name, source) in &self.programs {
             w.str(&format!("program.{name}"), source);
         }
@@ -243,14 +235,6 @@ impl Submission {
         }
         sub.priority = opt_i64(map, "priority", 0)?;
         sub.stream = opt_bool(map, "stream", true)?;
-        sub.fleet = opt_u64(map, "fleet", 0)? as usize;
-        if let Some(k) = opt_str(map, "fleet_kill")? {
-            if !k.is_empty() {
-                sub.fleet_kill = k.split(',').map(str::to_string).collect();
-            }
-        }
-        sub.fleet_mtbf = opt_u64(map, "fleet_mtbf", 0)?;
-        sub.fleet_seed = opt_u64(map, "fleet_seed", 0)?;
         for (k, v) in map {
             if let Some(name) = k.strip_prefix("program.") {
                 match v {
@@ -259,6 +243,8 @@ impl Submission {
                         return Err(FexError::Config(format!("field `{k}` is not a string")));
                     }
                 }
+            } else if !SUBMIT_FIELDS.contains(&k.as_str()) {
+                return Err(FexError::Config(format!("unknown submission field `{k}`")));
             }
         }
         sub.programs.sort();
@@ -315,16 +301,12 @@ impl Submission {
         d.update(&self.budget.to_le_bytes());
         d.update_str(&self.input);
         d.update_str(&self.tool);
-        d.update(&(self.fleet as u64).to_le_bytes());
-        d.update_str(&self.fleet_kill.join(","));
-        d.update(&self.fleet_mtbf.to_le_bytes());
-        d.update(&self.fleet_seed.to_le_bytes());
         d.finish().to_string()
     }
 
     /// The experiment configuration this submission runs under. `lab`
     /// attaches the daemon's shared store + graph; `None` keeps the run
-    /// ephemeral (the fleet path, and direct differential reruns).
+    /// ephemeral (direct differential reruns).
     pub fn config(&self, lab: Option<&str>) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(format!("serve-{}", self.suite))
             .types(self.build_types.clone())
@@ -427,31 +409,35 @@ pub struct Executed {
     pub graph_hits: usize,
     /// Run units that executed on the VM.
     pub graph_misses: usize,
-    /// Content-addressed run id of the archived run (empty for fleet
-    /// runs, which have their own frame schema and skip the store).
+    /// Content-addressed run id of the archived run.
     pub run_id: String,
     /// Rows in the result frame.
     pub rows: usize,
     /// Failure-report records.
     pub failures: usize,
-    /// Result CSV (canonicalized for fleet runs).
+    /// Result CSV.
     pub results_csv: String,
-    /// Failure CSV (empty for fleet runs).
+    /// Failure CSV.
     pub failures_csv: String,
-    /// The run's journal lines, streamed to the client when requested.
+    /// The run's journal lines, streamed to the client when requested
+    /// (empty for store hits: nothing ran).
     pub journal_lines: Vec<String>,
 }
 
 impl Executed {
-    /// The store-layer serve of this cached result: same artifacts, no
-    /// journal to stream, flagged as a hit.
-    fn served(&self) -> Executed {
+    /// A run's outcome from its two CSVs; the line counts give the row
+    /// and failure-record counts.
+    fn new(run_id: String, results_csv: String, failures_csv: String) -> Executed {
         Executed {
-            store_hit: true,
+            store_hit: false,
             graph_hits: 0,
             graph_misses: 0,
+            run_id,
+            rows: results_csv.lines().count().saturating_sub(1),
+            failures: failures_csv.lines().count().saturating_sub(1),
+            results_csv,
+            failures_csv,
             journal_lines: Vec::new(),
-            ..self.clone()
         }
     }
 }
@@ -469,7 +455,7 @@ pub struct ServeOutcome {
     pub graph_hits: usize,
     /// Artifact-graph unit misses.
     pub graph_misses: usize,
-    /// Archived run id (empty for fleet runs).
+    /// Archived run id.
     pub run_id: String,
     /// Result rows.
     pub rows: usize,
@@ -522,7 +508,7 @@ struct QueueEntry {
 }
 
 enum WorkerMsg {
-    Done { executed: Arc<Executed>, wait_ns: u64 },
+    Done { executed: Executed, wait_ns: u64 },
     Failed(String),
 }
 
@@ -547,13 +533,14 @@ struct Inner {
     queue: Mutex<QueueState>,
     available: Condvar,
     journal: Mutex<Journal>,
-    served: Mutex<HashMap<String, Arc<Executed>>>,
+    /// The store layer: [`Submission::key`] → run id of the run that
+    /// key archived under the shared lab's `runs/<id>/`.
+    served: Mutex<HashMap<String, String>>,
     tenants: Mutex<BTreeMap<String, TenantStats>>,
-    conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Read-half clones of every accepted connection, so drain can EOF
-    /// clients idling between requests without cutting in-flight
-    /// result writes.
-    conn_streams: Mutex<Vec<UnixStream>>,
+    /// Live connection handlers, each with a read-half clone of its
+    /// socket so drain can EOF clients idling between requests without
+    /// cutting in-flight result writes.
+    conns: Mutex<Vec<(std::thread::JoinHandle<()>, UnixStream)>>,
     next_submission: AtomicU64,
     completed: AtomicU64,
     store_hits: AtomicU64,
@@ -577,92 +564,62 @@ impl Inner {
         let _ = UnixStream::connect(&self.opts.socket);
     }
 
-    fn execute(&self, sub: &Submission) -> Result<Arc<Executed>> {
+    fn execute(&self, sub: &Submission) -> Result<Executed> {
         let key = sub.key();
-        if let Some(hit) = self.served.lock().expect("served lock").get(&key) {
+        let run_id = self.served.lock().expect("served lock").get(&key).cloned();
+        if let Some(hit) = run_id.and_then(|id| self.store_hit(sub, id)) {
             self.store_hits.fetch_add(1, Ordering::SeqCst);
-            return Ok(Arc::new(hit.served()));
+            return Ok(hit);
         }
-        let executed =
-            if sub.fleet > 0 { self.execute_fleet(sub)? } else { self.execute_local(sub)? };
-        let executed = Arc::new(executed);
-        self.served.lock().expect("served lock").insert(key, executed.clone());
+        let executed = self.execute_local(sub)?;
+        if !executed.run_id.is_empty() {
+            self.served.lock().expect("served lock").insert(key, executed.run_id.clone());
+        }
         Ok(executed)
     }
 
-    /// The local path: the full build–run–collect pipeline against the
-    /// shared lab, so the artifact graph serves every unchanged unit and
-    /// the store archives the aggregate.
+    /// Serves an earlier execution's archived run: both CSVs read back
+    /// from `runs/<id>/` and checked against the run id, as
+    /// `fex lab fsck` checks them. A missing file (after `fex lab gc` or
+    /// a quarantine) or a digest mismatch (an edit, or a concurrent
+    /// execution of the same key rewriting the files) is a miss.
+    fn store_hit(&self, sub: &Submission, run_id: String) -> Option<Executed> {
+        let store = RunStore::open(&self.opts.lab).ok()?;
+        let dir = store.run_dir(&run_id);
+        let results_csv = std::fs::read_to_string(dir.join("results.csv")).ok()?;
+        let failures_csv = std::fs::read_to_string(dir.join("failures.csv")).ok()?;
+        let key = RunStore::experiment_key(&sub.config(Some(&self.opts.lab)));
+        if RunStore::run_id_from_parts(&key, &results_csv, &failures_csv) != run_id {
+            return None;
+        }
+        Some(Executed { store_hit: true, ..Executed::new(run_id, results_csv, failures_csv) })
+    }
+
+    /// The full build–run–collect pipeline against the shared lab, so
+    /// the artifact graph serves every unchanged unit and the store
+    /// archives the aggregate.
     fn execute_local(&self, sub: &Submission) -> Result<Executed> {
         let _lab = self.lab_gate.lock().expect("lab gate");
         let cfg = sub.config(Some(&self.opts.lab));
         let suite = sub.suite()?;
         let mut fex = Fex::new();
         fex.run_suite(&cfg, suite)?;
-        let results_csv = fex.result_csv(&cfg.name).unwrap_or_default();
-        let failures_csv = fex.failure_csv(&cfg.name).unwrap_or_default();
         let jsonl = fex.journal_jsonl(&cfg.name).unwrap_or_default();
-        let mut graph_hits = 0;
-        let mut graph_misses = 0;
-        let mut run_id = String::new();
+        let mut executed = Executed::new(
+            String::new(),
+            fex.result_csv(&cfg.name).unwrap_or_default(),
+            fex.failure_csv(&cfg.name).unwrap_or_default(),
+        );
         for line in jsonl.lines() {
             match journal::parse_line(line) {
-                Ok(JournalEvent::GraphHit { .. }) => graph_hits += 1,
-                Ok(JournalEvent::GraphMiss { .. }) => graph_misses += 1,
-                Ok(JournalEvent::StoreWrite { run_id: id, .. }) => run_id = id,
+                Ok(JournalEvent::GraphHit { .. }) => executed.graph_hits += 1,
+                Ok(JournalEvent::GraphMiss { .. }) => executed.graph_misses += 1,
+                Ok(JournalEvent::StoreWrite { run_id, .. }) => executed.run_id = run_id,
                 _ => {}
             }
+            executed.journal_lines.push(line.to_string());
         }
-        Ok(Executed {
-            store_hit: false,
-            graph_hits,
-            graph_misses,
-            run_id,
-            rows: results_csv.lines().count().saturating_sub(1),
-            failures: failures_csv.lines().count().saturating_sub(1),
-            results_csv,
-            failures_csv,
-            journal_lines: jsonl.lines().map(str::to_string).collect(),
-        })
-    }
-
-    /// The fleet path: benchmarks shard across a homogeneous simulated
-    /// cluster, explicit + simulated host losses re-distribute work, and
-    /// the frame is canonicalized so placement is invisible.
-    fn execute_fleet(&self, sub: &Submission) -> Result<Executed> {
-        let cfg = sub.config(None);
-        let suite = sub.suite()?;
-        let fleet = fex_netsim::fleet::Fleet::homogeneous(sub.fleet, FLEET_CORES, FLEET_FREQ_HZ);
-        let hosts: Vec<HostSpec> =
-            fleet.hosts.iter().map(|h| HostSpec::new(h.name.clone(), h.cores, h.freq_hz)).collect();
-        let mut run = DistributedRun::new(suite.clone(), hosts)?;
-        for name in &sub.fleet_kill {
-            run = run.kill_host(name.clone());
-        }
-        if sub.fleet_mtbf > 0 {
-            let model = fex_netsim::fleet::FailureModel {
-                mtbf_ticks: sub.fleet_mtbf,
-                seed: sub.fleet_seed,
-            };
-            let timeline = fex_netsim::fleet::simulate(&fleet, &model, FLEET_HORIZON);
-            for name in timeline.downed(&fleet) {
-                run = run.kill_host(name);
-            }
-        }
-        let mut fex = Fex::new();
-        let df = run.execute(fex.build_system_mut(), &cfg)?;
-        let results_csv = canonical_fleet_csv(&df.to_csv(), &suite, &sub.build_types);
-        Ok(Executed {
-            store_hit: false,
-            graph_hits: 0,
-            graph_misses: 0,
-            run_id: String::new(),
-            rows: results_csv.lines().count().saturating_sub(1),
-            failures: 0,
-            results_csv,
-            failures_csv: String::new(),
-            journal_lines: Vec::new(),
-        })
+        Ok(executed)
     }
 
     fn record(&self, tenant: &str, executed: &Executed) {
@@ -673,49 +630,6 @@ impl Inner {
         stats.graph_hits += executed.graph_hits as u64;
         stats.graph_misses += executed.graph_misses as u64;
     }
-}
-
-/// Projects a fleet frame onto the placement-independent view: the
-/// `host` and `rescheduled` columns drop, and rows sort into matrix
-/// order (build type, suite benchmark order, rep) — so a campaign that
-/// lost hosts and re-distributed work is byte-identical to an
-/// undisturbed one.
-pub fn canonical_fleet_csv(csv: &str, suite: &Suite, build_types: &[String]) -> String {
-    let mut lines = csv.lines();
-    let Some(header) = lines.next() else {
-        return String::new();
-    };
-    let cols: Vec<&str> = header.split(',').collect();
-    let keep: Vec<usize> = cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c != "host" && **c != "rescheduled")
-        .map(|(i, _)| i)
-        .collect();
-    let idx = |name: &str| cols.iter().position(|c| *c == name);
-    let (bi, ti, ri) = (idx("benchmark"), idx("type"), idx("rep"));
-    let bench_rank =
-        |b: &str| suite.programs.iter().position(|p| p.name == b).unwrap_or(usize::MAX);
-    let type_rank = |t: &str| build_types.iter().position(|x| x == t).unwrap_or(usize::MAX);
-    let mut rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
-    rows.sort_by_key(|r| {
-        (
-            ti.and_then(|i| r.get(i).copied()).map(type_rank).unwrap_or(usize::MAX),
-            bi.and_then(|i| r.get(i).copied()).map(bench_rank).unwrap_or(usize::MAX),
-            ri.and_then(|i| r.get(i).copied()).and_then(|v| v.parse::<i64>().ok()).unwrap_or(0),
-        )
-    });
-    let mut out = String::new();
-    let project = |row: &[&str], out: &mut String| {
-        let cells: Vec<&str> = keep.iter().filter_map(|&i| row.get(i).copied()).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    };
-    project(&cols, &mut out);
-    for row in &rows {
-        project(row, &mut out);
-    }
-    out
 }
 
 /// A running daemon: join it with [`ServerHandle::wait`].
@@ -747,13 +661,11 @@ impl ServerHandle {
         // block their handler threads in `read` forever. Shutting down
         // the read side EOFs those loops while in-flight result writes
         // still flush.
-        for stream in self.inner.conn_streams.lock().expect("conn streams lock").drain(..) {
+        let conns = std::mem::take(&mut *self.inner.conns.lock().expect("conns lock"));
+        for (_, stream) in &conns {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
-        loop {
-            let Some(conn) = self.inner.conns.lock().expect("conns lock").pop() else {
-                break;
-            };
+        for (conn, _) in conns {
             let _ = conn.join();
         }
         let _ = std::fs::remove_file(&self.inner.opts.socket);
@@ -780,7 +692,7 @@ impl ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Binds the socket and starts the accept loop + worker fleet.
+    /// Binds the socket and starts the accept loop + worker pool.
     ///
     /// # Errors
     ///
@@ -802,7 +714,6 @@ impl Server {
             served: Mutex::new(HashMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
             conns: Mutex::new(Vec::new()),
-            conn_streams: Mutex::new(Vec::new()),
             next_submission: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -829,12 +740,15 @@ fn accept_loop(listener: &UnixListener, inner: &Arc<Inner>) {
         if inner.queue.lock().expect("queue lock").draining {
             return;
         }
-        if let Ok(clone) = stream.try_clone() {
-            inner.conn_streams.lock().expect("conn streams lock").push(clone);
-        }
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
         let conn_inner = inner.clone();
         let handle = std::thread::spawn(move || handle_connection(stream, &conn_inner));
-        inner.conns.lock().expect("conns lock").push(handle);
+        let mut conns = inner.conns.lock().expect("conns lock");
+        // Finished handlers need neither a join nor an EOF at drain.
+        conns.retain(|(conn, _)| !conn.is_finished());
+        conns.push((handle, clone));
     }
 }
 
@@ -1176,10 +1090,6 @@ mod tests {
         sub.budget = 4_000_000;
         sub.priority = 9;
         sub.tool = "time".into();
-        sub.fleet = 3;
-        sub.fleet_kill = vec!["node1".into()];
-        sub.fleet_mtbf = 50;
-        sub.fleet_seed = 11;
         let map = journal::parse_flat_object(&sub.to_json()).unwrap();
         assert_eq!(req_str(&map, "op").unwrap(), "submit");
         let back = Submission::parse(&map).unwrap();
@@ -1196,9 +1106,6 @@ mod tests {
         let mut c = micro_sub("alice");
         c.seed = 43;
         assert_ne!(a.key(), c.key());
-        let mut d = micro_sub("alice");
-        d.fleet_kill = vec!["node0".into()];
-        assert_ne!(a.key(), d.key(), "fleet casualties change the executed campaign");
     }
 
     #[test]
@@ -1222,6 +1129,17 @@ mod tests {
                 "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \
                  \"threads\": \"1,x\"}",
                 "threads",
+            ),
+            // Unknown keys are rejected, not ignored: a removed field
+            // must not silently run something else, nor a typo run the
+            // default.
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \"fleet\": 3}",
+                "unknown submission field `fleet`",
+            ),
+            (
+                "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \"seeed\": 7}",
+                "unknown submission field `seeed`",
             ),
         ];
         for (line, field) in cases {
@@ -1250,25 +1168,6 @@ mod tests {
         assert_eq!(best_index(&[]), None);
     }
 
-    #[test]
-    fn canonical_fleet_csv_is_placement_invariant() {
-        let suite = fex_suites::micro();
-        let types = vec!["gcc_native".to_string()];
-        // Same cells, different host placement and row order.
-        let a = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n\
-                 node1,micro,arraywrite,gcc_native,test,0,2.5,200,0\n";
-        let b = "host,suite,benchmark,type,input,rep,time,cycles,rescheduled\n\
-                 node0,micro,arraywrite,gcc_native,test,0,2.5,200,1\n\
-                 node0,micro,arrayread,gcc_native,test,0,1.5,100,0\n";
-        let ca = canonical_fleet_csv(a, &suite, &types);
-        let cb = canonical_fleet_csv(b, &suite, &types);
-        assert_eq!(ca, cb);
-        assert!(!ca.contains("host"), "volatile columns are projected away");
-        assert!(!ca.contains("rescheduled"));
-        assert!(ca.starts_with("suite,benchmark,type,input,rep,time,cycles\n"));
-    }
-
     /// In-process end-to-end smoke: two tenants, identical work, the
     /// second serve comes wholly from the cache layer.
     #[test]
@@ -1293,6 +1192,10 @@ mod tests {
         assert!(second.store_hit, "identical cross-tenant work is cache-served");
         assert_eq!(second.results_csv, first.results_csv, "byte-identical artifacts");
         assert_eq!(second.failures_csv, first.failures_csv);
+        assert_eq!(
+            (&second.run_id, second.rows, second.failures),
+            (&first.run_id, first.rows, first.failures)
+        );
         assert!(second.events.is_empty(), "nothing ran, nothing streams");
 
         shutdown(&socket).unwrap();
@@ -1314,11 +1217,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Killed-fleet campaigns re-distribute work without changing a
-    /// byte of the canonical result.
+    /// A store hit reads the archived run back from disk; when the
+    /// artifacts no longer hash to their run id the hit is a miss, the
+    /// submission executes again and the rewrite repairs the run.
     #[test]
-    fn fleet_kill_host_is_invisible_in_canonical_results() {
-        let dir = temp_dir("fleet");
+    fn corrupted_archives_are_executed_again() {
+        let dir = temp_dir("corrupt");
+        let lab = dir.join("lab");
+        let opts = ServeOptions {
+            socket: dir.join("serve.sock"),
+            lab: lab.to_string_lossy().into_owned(),
+            workers: 1,
+            queue_cap: 8,
+        };
+        let handle = Server::start(opts).unwrap();
+        let socket = handle.socket().to_path_buf();
+
+        let first = submit(&socket, &micro_sub("alice")).unwrap();
+        let store = RunStore::open(&lab).unwrap();
+        let results = store.run_dir(&first.run_id).join("results.csv");
+        std::fs::write(&results, "benchmark\nedited\n").unwrap();
+        let second = submit(&socket, &micro_sub("bob")).unwrap();
+        assert!(!second.store_hit, "an edited archive is not served");
+        assert_eq!(
+            (&second.results_csv, &second.failures_csv, &second.run_id),
+            (&first.results_csv, &first.failures_csv, &first.run_id)
+        );
+
+        shutdown(&socket).unwrap();
+        let summary = handle.wait().unwrap();
+        assert_eq!(summary.store_hits, 0);
+        let report = crate::lab::fsck::fsck(&store, false).unwrap();
+        assert!(report.clean(), "{}", report.render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Closed connections drop out of the daemon's bookkeeping on the
+    /// next accept instead of piling up until shutdown.
+    #[test]
+    fn finished_connections_are_pruned() {
+        let dir = temp_dir("conns");
         let opts = ServeOptions {
             socket: dir.join("serve.sock"),
             lab: dir.join("lab").to_string_lossy().into_owned(),
@@ -1326,20 +1264,23 @@ mod tests {
             queue_cap: 8,
         };
         let handle = Server::start(opts).unwrap();
-        let socket = handle.socket().to_path_buf();
-
-        let mut undisturbed = Submission::new("ops", "micro");
-        undisturbed.fleet = 3;
-        let mut killed = undisturbed.clone();
-        killed.fleet_kill = vec!["node1".into()];
-
-        let base = submit(&socket, &undisturbed).unwrap();
-        let survived = submit(&socket, &killed).unwrap();
-        assert!(!base.store_hit && !survived.store_hit, "different keys both execute");
-        assert_eq!(base.results_csv, survived.results_csv, "host loss is byte-invisible");
-        assert!(base.rows > 0);
-
-        shutdown(&socket).unwrap();
+        let stats = |socket: &Path| {
+            let mut stream = UnixStream::connect(socket).unwrap();
+            write_line(&mut stream, "{\"op\": \"stats\"}").unwrap();
+            BufReader::new(stream).read_line(&mut String::new()).unwrap();
+        };
+        let conns = || handle.inner.conns.lock().unwrap().len();
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        for _ in 0..20 {
+            stats(handle.socket());
+        }
+        // One more accept prunes every handler that has finished by then.
+        while conns() > 1 {
+            assert!(Instant::now() < deadline, "{} connections still tracked", conns());
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            stats(handle.socket());
+        }
+        shutdown(handle.socket()).unwrap();
         handle.wait().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,10 +16,7 @@
 //!   Fig 7, including the saturation knee;
 //! * a **security probe** reproduces the CVE-style experiments the paper
 //!   runs against vulnerable server versions: the vulnerable handler
-//!   contains a real stack overflow a crafted request can trigger;
-//! * a **simulated host fleet** ([`fleet`]) plays a seeded discrete-event
-//!   host-failure timeline for `fex serve`'s fleet mode, so host-loss
-//!   mid-campaign is a deterministic, testable scenario.
+//!   contains a real stack overflow a crafted request can trigger.
 //!
 //! ## Example
 //!
@@ -34,13 +31,11 @@
 //! ```
 
 mod client;
-pub mod fleet;
 mod handlers;
 mod server;
 mod sim;
 
 pub use client::Workload;
-pub use fleet::{FailureModel, Fleet, FleetTimeline};
 pub use handlers::{handler_source, vulnerable_handler_source};
 pub use server::{SecurityOutcome, ServerBuild, ServerKind};
 pub use sim::{Metrics, Simulation, SweepPoint};

@@ -1,11 +1,6 @@
 //! Service-level integration tests for `fex serve`: the real binary's
 //! daemon lifecycle (submit → stream → result, cross-tenant cache
-//! serving, malformed-submission rejection, drain-on-shutdown), plus
-//! differential fault-tolerance tests for the simulated fleet mode —
-//! extending the jobs-invariance idiom of `tests/lab_diff.rs` to host
-//! loss: a campaign that loses hosts mid-flight and re-distributes its
-//! work must produce canonical CSVs byte-identical to an undisturbed
-//! run.
+//! serving, malformed-submission rejection, drain-on-shutdown).
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -13,10 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
-
-use fex_core::serve::{self, canonical_fleet_csv, Submission};
-use fex_core::Fex;
+use fex_core::serve::{self, Submission};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fex-serve-it-{}-{tag}", std::process::id()));
@@ -140,6 +132,10 @@ fn malformed_submissions_are_rejected_without_killing_the_daemon() {
         ("{\"op\": \"launch\"}", "unknown op"),
         ("{\"op\": \"submit\", \"suite\": \"micro\"}", "tenant"),
         ("{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"nope\"}", "unknown suite"),
+        (
+            "{\"op\": \"submit\", \"tenant\": \"a\", \"suite\": \"micro\", \"fleet\": 3}",
+            "unknown submission field `fleet`",
+        ),
     ] {
         stream.write_all(line.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
@@ -201,87 +197,4 @@ fn shutdown_drains_queued_submissions() {
     }
     assert!(summary.contains("3 completed"), "summary:\n{summary}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Fleet fault tolerance
-// ---------------------------------------------------------------------
-
-/// Runs the micro suite across a simulated fleet, with `kills` host
-/// indices downed mid-campaign, and returns the canonical CSV.
-fn fleet_campaign(hosts: usize, kills: &[usize]) -> String {
-    use fex_core::distributed::{DistributedRun, HostSpec};
-    let fleet = fex_netsim::fleet::Fleet::homogeneous(hosts, 2, 3.0e9);
-    let specs: Vec<HostSpec> =
-        fleet.hosts.iter().map(|h| HostSpec::new(h.name.clone(), h.cores, h.freq_hz)).collect();
-    let suite = fex_suites::micro();
-    let mut run = DistributedRun::new(suite.clone(), specs).unwrap();
-    for &k in kills {
-        run = run.kill_host(fleet.hosts[k].name.clone());
-    }
-    let cfg = fex_core::ExperimentConfig::new("fleet")
-        .types(vec!["gcc_native"])
-        .input(fex_suites::InputSize::Test)
-        .repetitions(2);
-    let mut fex = Fex::new();
-    let df = run.execute(fex.build_system_mut(), &cfg).unwrap();
-    canonical_fleet_csv(&df.to_csv(), &suite, &["gcc_native".to_string()])
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Differential fault-tolerance: any proper subset of hosts may die
-    /// mid-campaign; the re-distributed campaign's canonical CSV must be
-    /// byte-identical to the undisturbed fleet's.
-    #[test]
-    fn killed_hosts_never_change_canonical_results(
-        hosts in 2usize..5,
-        kill_seed in 0u64..1_000,
-    ) {
-        // Derive a proper casualty subset from the seed: 1..hosts dead.
-        let n_kills = 1 + (kill_seed as usize) % (hosts - 1).max(1);
-        let mut kills: Vec<usize> =
-            (0..hosts).filter(|i| (kill_seed >> i) & 1 == 1).take(n_kills).collect();
-        if kills.is_empty() {
-            kills.push((kill_seed as usize) % hosts); // never vacuous
-        }
-        let undisturbed = fleet_campaign(hosts, &[]);
-        let killed = fleet_campaign(hosts, &kills);
-        prop_assert_eq!(&undisturbed, &killed, "hosts={} kills={:?}", hosts, kills);
-        prop_assert!(undisturbed.lines().count() > 1, "campaign produced rows");
-    }
-
-    /// The netsim failure timeline drives the same invariant end to end
-    /// through the daemon: an mtbf-armed fleet submission (casualties
-    /// chosen by the seeded discrete-event simulation) matches the
-    /// undisturbed fleet byte-for-byte.
-    #[test]
-    fn simulated_failure_timelines_are_byte_invisible(fleet_seed in 0u64..1_000) {
-        let dir = temp_dir(&format!("fleetsim-{fleet_seed}"));
-        let opts = fex_core::ServeOptions {
-            socket: dir.join("serve.sock"),
-            lab: dir.join("lab").to_string_lossy().into_owned(),
-            workers: 1,
-            queue_cap: 8,
-        };
-        let handle = fex_core::Server::start(opts).unwrap();
-        let socket = handle.socket().to_path_buf();
-
-        let mut calm = Submission::new("ops", "micro");
-        calm.fleet = 4;
-        let mut stormy = calm.clone();
-        stormy.fleet_mtbf = 200_000; // a few losses over the horizon
-        stormy.fleet_seed = fleet_seed;
-
-        let base = serve::submit(&socket, &calm).unwrap();
-        let survived = serve::submit(&socket, &stormy).unwrap();
-        serve::shutdown(&socket).unwrap();
-        handle.wait().unwrap();
-
-        prop_assert!(base.rows > 0);
-        prop_assert_eq!(&base.results_csv, &survived.results_csv,
-            "fleet_seed={}", fleet_seed);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
