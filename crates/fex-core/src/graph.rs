@@ -20,13 +20,14 @@
 //!
 //! The graph lives under `<lab>/graph/` with the same append-only
 //! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
-//! object per line, monotonic `seq`, no wall clocks, torn appends sealed
-//! onto their own line, per-line fault isolation on read. Index lines
-//! written by older versions carry a `kind` key and may name provenance
-//! or aggregate nodes; the reader ignores the key and such nodes are
-//! never looked up. `fex lab fsck` walks the graph (orphaned node dirs,
-//! payload digest mismatches) with the same detect/quarantine treatment
-//! as run dirs.
+//! object per line appended with one `O_APPEND` write (so concurrent
+//! writers lose nothing), a line's position as its sequence number, no
+//! wall clocks, torn appends sealed onto their own line, per-line fault
+//! isolation on read. Index lines written by older versions carry `seq`
+//! and `kind` keys and may name provenance or aggregate nodes; the reader
+//! ignores both keys and such nodes are never looked up. `fex lab fsck`
+//! walks the graph (orphaned node dirs, payload digest mismatches) with
+//! the same detect/quarantine treatment as run dirs.
 //!
 //! Only *clean* run units are cached: first-attempt successes of
 //! fault-free units. Fault-armed or failing units bypass the graph
@@ -121,11 +122,9 @@ pub fn unit_key(
 // The on-disk node cache
 // ---------------------------------------------------------------------
 
-/// One line of the graph index.
+/// One line of the graph index; the newest entry is the last line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphIndexEntry {
-    /// Monotonic sequence number (insertion order).
-    pub seq: u64,
     /// The node's key (`fex256:…`).
     pub digest: String,
     /// Digest of the payload bytes as written — `fex lab fsck`
@@ -136,7 +135,7 @@ pub struct GraphIndexEntry {
 impl GraphIndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("digest", &self.digest);
-        w.num("seq", self.seq as i64).str("payload", &self.payload_digest);
+        w.str("payload", &self.payload_digest);
         w.finish()
     }
 
@@ -144,7 +143,6 @@ impl GraphIndexEntry {
         let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
         let map = journal::parse_flat_object(line).map_err(bad)?;
         Ok(GraphIndexEntry {
-            seq: journal::get_u64(&map, "seq").map_err(bad)?,
             digest: journal::get_str(&map, "digest").map_err(bad)?.to_string(),
             payload_digest: journal::get_str(&map, "payload").map_err(bad)?.to_string(),
         })
@@ -165,7 +163,6 @@ pub struct ArtifactGraph {
     root: PathBuf,
     /// Indexed digest values, for O(1) lookups.
     index: HashSet<u128>,
-    next_seq: u64,
     warnings: Vec<String>,
     hits: u64,
     misses: u64,
@@ -188,9 +185,8 @@ impl ArtifactGraph {
             FexError::Data(format!("cannot create graph at `{}`: {e}", root.display()))
         })?;
         let (entries, warnings) = Self::scan_at(&root);
-        let next_seq = entries.iter().map(|e| e.seq).max().map_or(0, |m| m + 1);
         let index = entries.iter().filter_map(|e| parse_digest(&e.digest)).map(|d| d.0).collect();
-        Ok(ArtifactGraph { root, index, next_seq, warnings, hits: 0, misses: 0 })
+        Ok(ArtifactGraph { root, index, warnings, hits: 0, misses: 0 })
     }
 
     /// The graph's root directory (`<lab>/graph`).
@@ -276,13 +272,11 @@ impl ArtifactGraph {
         fs::create_dir_all(&dir).map_err(io)?;
         fs::write(dir.join("payload.json"), &payload).map_err(io)?;
         let entry = GraphIndexEntry {
-            seq: self.next_seq,
             digest: digest.to_string(),
             payload_digest: digest_bytes(payload.as_bytes()).to_string(),
         };
         append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
         self.index.insert(digest.0);
-        self.next_seq += 1;
         Ok(())
     }
 
@@ -561,15 +555,91 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn seq_is_monotonic_across_reopens() {
-        let lab = temp_lab("seq");
+    fn every_torn_offset_of_the_last_append_loses_at_most_that_node() {
+        use crate::lab::fsck::{check, IssueKind};
+        let lab = temp_lab("torn-every");
+        let store = crate::lab::RunStore::open(&lab).unwrap();
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        let earlier = [Digest(1), Digest(2)];
+        for d in &earlier {
+            g.store_run(d, &sample_run()).unwrap();
+        }
+        let index_path = g.index_path();
+        let start = fs::read(&index_path).unwrap().len();
+        let last = Digest(3);
+        g.store_run(&last, &sample_run()).unwrap();
+        let full = fs::read(&index_path).unwrap();
+        let next = Digest(4);
+        for k in start..full.len() {
+            fs::write(&index_path, &full[..k]).unwrap();
+            let mut g2 = ArtifactGraph::open(&lab).unwrap();
+            assert!(g2.warnings().len() <= 1, "offset {k}: {:?}", g2.warnings());
+            for d in &earlier {
+                assert!(g2.lookup_run(d).is_some(), "offset {k}: {d} lost");
+            }
+
+            // The torn node's payload was written before the append, so
+            // it may be an orphan; nothing else may be reported.
+            let report = check(&store);
+            let corrupt =
+                report.issues.iter().filter(|i| i.kind == IssueKind::CorruptGraphIndexLine);
+            assert!(corrupt.count() <= 1, "offset {k}: {}", report.render());
+            assert!(
+                report.issues.iter().all(|i| i.kind == IssueKind::CorruptGraphIndexLine
+                    || (i.kind == IssueKind::OrphanGraphNode && i.subject == last.to_string())),
+                "offset {k}: {}",
+                report.render()
+            );
+
+            g2.store_run(&next, &sample_run()).unwrap();
+            let (entries, warnings) = ArtifactGraph::scan_at(g2.root());
+            assert!(warnings.len() <= 1, "offset {k}: {warnings:?}");
+            let digests: Vec<String> = entries.iter().map(|e| e.digest.clone()).collect();
+            assert_eq!(digests[..2], [earlier[0].to_string(), earlier[1].to_string()]);
+            assert_eq!(digests.last(), Some(&next.to_string()), "offset {k}");
+            assert!(ArtifactGraph::open(&lab).unwrap().lookup_run(&next).is_some());
+            fs::remove_dir_all(node_dir_at(g2.root(), &next.to_string())).unwrap();
+        }
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    #[test]
+    fn concurrent_graph_writers_lose_no_node() {
+        let lab = temp_lab("concurrent");
+        std::thread::scope(|s| {
+            for t in 0..4u128 {
+                let lab = &lab;
+                s.spawn(move || {
+                    let mut own = ArtifactGraph::open(lab).unwrap();
+                    for i in 0..50 {
+                        own.store_run(&Digest(t * 100 + i), &sample_run()).unwrap();
+                    }
+                });
+            }
+        });
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        assert!(g.warnings().is_empty(), "{:?}", g.warnings());
+        assert_eq!(g.len(), 200);
+        for t in 0..4u128 {
+            for i in 0..50 {
+                assert!(g.lookup_run(&Digest(t * 100 + i)).is_some());
+            }
+        }
+        let report = crate::lab::fsck::check(&crate::lab::RunStore::open(&lab).unwrap());
+        assert!(report.clean(), "{}", report.render());
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    #[test]
+    fn index_keeps_insertion_order_across_reopens() {
+        let lab = temp_lab("order");
         let mut g = ArtifactGraph::open(&lab).unwrap();
         g.store_run(&Digest(10), &sample_run()).unwrap();
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
         g2.store_run(&Digest(11), &sample_run()).unwrap();
         let (entries, _) = ArtifactGraph::scan_at(g2.root());
-        let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1]);
+        let digests: Vec<&str> = entries.iter().map(|e| e.digest.as_str()).collect();
+        assert_eq!(digests, vec![Digest(10).to_string(), Digest(11).to_string()]);
         let _ = fs::remove_dir_all(&lab);
     }
 }

@@ -50,8 +50,10 @@ use fex_vm::{RunResult, UnitCounters};
 /// (artifact-graph lookups in front of run-unit execution). Version 4
 /// added the `serve_*` family (`serve_submit`, `serve_enqueue`,
 /// `serve_dispatch`, `serve_stream`, `serve_evict`) emitted by the
-/// `fex serve` daemon's own journal.
-pub const JOURNAL_VERSION: u64 = 4;
+/// `fex serve` daemon's own journal. Version 5 dropped `store_write`'s
+/// `seq` (a run's sequence number is its position in the store index);
+/// the reader ignores the key in older journals.
+pub const JOURNAL_VERSION: u64 = 5;
 
 /// One typed journal event. Field names match the JSON keys.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,8 +202,6 @@ pub enum JournalEvent {
         experiment: String,
         /// Content-addressed run id (`fex256:…`).
         run_id: String,
-        /// Monotonic sequence number assigned by the store index.
-        seq: u64,
     },
     /// A tenant's experiment submission arrived over the serve socket.
     ServeSubmit {
@@ -338,11 +338,6 @@ impl JournalEvent {
             JournalEvent::UnitClaim { worker, .. } => *worker = 0,
             JournalEvent::PhaseEnd { wall_ns, .. } => *wall_ns = 0,
             JournalEvent::ExperimentEnd { wall_ns, .. } => *wall_ns = 0,
-            // The store sequence number records where in the index the
-            // run landed — history, not run behaviour: an archival rerun
-            // appends at a later position while producing identical
-            // artifacts.
-            JournalEvent::StoreWrite { seq, .. } => *seq = 0,
             // Hit-vs-miss is artifact-cache state, not run behaviour: a
             // warm run that serves a unit from the graph is
             // observationally identical to the cold run that computed it,
@@ -359,7 +354,7 @@ impl JournalEvent {
             // submission counter, queue depth/latency and worker ids are
             // all scheduling history, not run behaviour — two clients
             // submitting the same work in any order must normalize to the
-            // same event, the same way StoreWrite's seq is zeroed.
+            // same event.
             JournalEvent::ServeSubmit { tenant, submission, .. } => {
                 tenant.clear();
                 *submission = 0;
@@ -483,8 +478,8 @@ impl JournalEvent {
             JournalEvent::DecodeCache { decodes, served } => {
                 w.num("decodes", *decodes as i64).num("served", *served as i64);
             }
-            JournalEvent::StoreWrite { experiment, run_id, seq } => {
-                w.str("experiment", experiment).str("run_id", run_id).num("seq", *seq as i64);
+            JournalEvent::StoreWrite { experiment, run_id } => {
+                w.str("experiment", experiment).str("run_id", run_id);
             }
             JournalEvent::ServeSubmit { tenant, submission, key } => {
                 w.str("tenant", tenant).num("submission", *submission as i64).str("key", key);
@@ -633,7 +628,6 @@ pub fn parse_line(line: &str) -> std::result::Result<JournalEvent, ParseIssue> {
         "store_write" => JournalEvent::StoreWrite {
             experiment: get_str(&map, "experiment")?.to_string(),
             run_id: get_str(&map, "run_id")?.to_string(),
-            seq: get_u64(&map, "seq")?,
         },
         "serve_submit" => JournalEvent::ServeSubmit {
             tenant: get_str(&map, "tenant")?.to_string(),
@@ -1444,11 +1438,14 @@ mod tests {
         let e = JournalEvent::StoreWrite {
             experiment: "micro".into(),
             run_id: "fex256:00000000000000000000000000abcdef".into(),
-            seq: 7,
         };
         assert_eq!(e.kind(), "store_write");
         let back = parse_line(&e.to_json()).unwrap();
         assert_eq!(e, back);
+        // Version-4 journals carry a `seq` key; it is ignored.
+        let v4 = e.to_json().replace("\"}", "\", \"seq\": 7}");
+        assert!(v4.contains("\"seq\": 7"), "{v4}");
+        assert_eq!(parse_line(&v4).unwrap(), e);
     }
 
     #[test]
@@ -1618,8 +1615,7 @@ mod tests {
     #[test]
     fn serve_normalization_erases_tenant_queue_and_cache_state() {
         // Two tenants submitting the same work in any order, served hot
-        // or cold, must normalize to identical serve streams — the same
-        // order-invariance contract StoreWrite's zeroed seq provides.
+        // or cold, must normalize to identical serve streams.
         let mut normalized = serve_events();
         for e in &mut normalized {
             e.normalize();

@@ -23,7 +23,7 @@ use crate::error::{FexError, Result};
 use crate::graph;
 use crate::journal::{self, Json};
 
-use super::store::{scan_index, IndexEntry, RunStore};
+use super::store::{rewrite_index, scan_index, IndexEntry, RunStore};
 
 /// What kind of damage an [`FsckIssue`] reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,6 +298,7 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
 /// Checks the store and, when `quarantine` is set, moves every corrupt
 /// run directory (and orphan) under `<root>/quarantine/` and rewrites the
 /// index to the clean entries. Returns the final report.
+/// Quarantining is a maintenance operation (see `rewrite_index`).
 ///
 /// # Errors
 ///
@@ -365,7 +366,7 @@ fn quarantine_side(
         .filter(|(subject, _)| !bad.contains(subject))
         .map(|(_, line)| line + "\n")
         .collect();
-    fs::write(index, survivors)
+    rewrite_index(index, &survivors)
         .map_err(|e| FexError::Data(format!("cannot rewrite `{}`: {e}", index.display())))
 }
 
@@ -506,12 +507,8 @@ pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()>
     let index_path = groot.join("index.json");
     let io = |e: std::io::Error| FexError::Data(format!("graph fault injection failed: {e}"));
     let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-    let newest = || {
-        entries
-            .iter()
-            .max_by_key(|e| e.seq)
-            .ok_or_else(|| FexError::Data("the artifact graph is empty".into()))
-    };
+    let newest =
+        || entries.last().ok_or_else(|| FexError::Data("the artifact graph is empty".into()));
     match corruption {
         GraphCorruption::TruncatedGraphIndex => {
             let index = fs::read_to_string(&index_path).map_err(io)?;

@@ -15,14 +15,21 @@
 //! experiment key (name, build matrix, benchmark filter, thread sweep,
 //! repetition policy, input, seed, tool, debug) *and* the result bytes, so
 //! re-running a deterministic configuration produces the same id. The
-//! index is append-only with a monotonic `seq` per line — no wall-clock
-//! timestamps, so stored artifacts stay byte-reproducible. Duplicate run
-//! ids are allowed (two identical runs are two index lines), which is
-//! exactly what a "compare the same commit twice, expect unchanged" CI
-//! smoke test needs.
+//! index is append-only and a line's position in it is its sequence
+//! number — no stored counter and no wall-clock timestamps, so stored
+//! artifacts stay byte-reproducible. Duplicate run ids are allowed (two
+//! identical runs are two index lines), which is exactly what a "compare
+//! the same commit twice, expect unchanged" CI smoke test needs.
+//!
+//! Concurrency rule: concurrent `O_APPEND` line writes from threads or
+//! processes never overwrite or interleave one another, and a crash tears
+//! at most the last line. `gc` and `fex lab fsck --quarantine` are
+//! maintenance operations (see `rewrite_index`).
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use fex_container::DigestBuilder;
@@ -44,11 +51,10 @@ pub struct RunArtifacts<'a> {
     pub journal_digest: Option<&'a str>,
 }
 
-/// One line of the store index.
+/// One line of the store index; its position is its sequence number (a
+/// `seq` key on lines written by older versions is ignored).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// Monotonic sequence number (insertion order).
-    pub seq: u64,
     /// Content-addressed run id (`fex256:…`).
     pub run_id: String,
     /// Experiment name.
@@ -64,8 +70,7 @@ pub struct IndexEntry {
 impl IndexEntry {
     pub(crate) fn to_json(&self) -> String {
         let mut w = JsonLine::object("run_id", &self.run_id);
-        w.num("seq", self.seq as i64)
-            .str("experiment", &self.experiment)
+        w.str("experiment", &self.experiment)
             .str("key", &self.key)
             .num("rows", self.rows as i64)
             .num("failures", self.failures as i64);
@@ -77,7 +82,6 @@ impl IndexEntry {
         let map = journal::parse_flat_object(line).map_err(bad)?;
         let get = |k| journal::get_str(&map, k).map(str::to_string).map_err(bad);
         Ok(IndexEntry {
-            seq: journal::get_u64(&map, "seq").map_err(bad)?,
             run_id: get("run_id")?,
             experiment: get("experiment")?,
             key: get("key")?,
@@ -157,7 +161,6 @@ impl RunStore {
     pub fn save(&self, config: &ExperimentConfig, art: &RunArtifacts<'_>) -> Result<IndexEntry> {
         let run_id = Self::run_id(config, art);
         let entry = IndexEntry {
-            seq: self.next_seq()?,
             run_id: run_id.clone(),
             experiment: config.name.clone(),
             key: Self::experiment_key(config),
@@ -174,7 +177,6 @@ impl RunStore {
         }
         let mut record = JsonLine::object("run_id", &run_id);
         record
-            .num("seq", entry.seq as i64)
             .str("experiment", &entry.experiment)
             .str("key", &entry.key)
             .num("rows", entry.rows as i64)
@@ -274,6 +276,8 @@ impl RunStore {
     /// surviving entry references them, artifact directories). Returns
     /// the number of index entries removed.
     ///
+    /// A maintenance operation (see `rewrite_index`).
+    ///
     /// # Errors
     ///
     /// [`FexError::Data`] on filesystem failures or a corrupt index.
@@ -300,12 +304,13 @@ impl RunStore {
             }
         }
         let index: String = kept.iter().map(|e| e.to_json() + "\n").collect();
-        fs::write(self.index_path(), index)
+        rewrite_index(&self.index_path(), &index)
             .map_err(|e| FexError::Data(format!("store write failed: {e}")))?;
         Ok(removed)
     }
 
-    /// Renders `fex lab list` output. The `repro` column is the
+    /// Renders `fex lab list` output. The `seq` column is each entry's
+    /// position in `entries`. The `repro` column is the
     /// [`ReproScore`](crate::diag::ReproScore) — readiness + outcome out
     /// of 100 — so stored runs rank by reproducibility health.
     pub fn render_list(&self, entries: &[IndexEntry]) -> String {
@@ -313,15 +318,15 @@ impl RunStore {
             return "(store is empty)\n".to_string();
         }
         let mut s = format!(
-            "{:<5} {:<40} {:<12} {:>6} {:>9} {:>8}\n",
-            "seq", "run id", "experiment", "rows", "failures", "repro"
+            "seq   {:<40} {:<12} {:>6} {:>9} {:>8}\n",
+            "run id", "experiment", "rows", "failures", "repro"
         );
-        for e in entries {
+        for (seq, e) in entries.iter().enumerate() {
             let score = crate::diag::repro_score(self, e);
             let _ = writeln!(
                 s,
                 "{:<5} {:<40} {:<12} {:>6} {:>9} {:>8}",
-                e.seq,
+                seq,
                 e.run_id,
                 e.experiment,
                 e.rows,
@@ -337,10 +342,10 @@ impl RunStore {
     /// consume the store without screen-scraping.
     pub fn render_list_json(&self, entries: &[IndexEntry]) -> String {
         let mut s = String::new();
-        for e in entries {
+        for (seq, e) in entries.iter().enumerate() {
             let score = crate::diag::repro_score(self, e);
             let mut w = JsonLine::object("run_id", &e.run_id);
-            w.num("seq", e.seq as i64)
+            w.num("seq", seq as i64)
                 .str("experiment", &e.experiment)
                 .str("key", &e.key)
                 .num("rows", e.rows as i64)
@@ -358,7 +363,6 @@ impl RunStore {
     pub fn render_show(&self, entry: &IndexEntry) -> Result<String> {
         let mut s = String::new();
         let _ = writeln!(s, "run id:     {}", entry.run_id);
-        let _ = writeln!(s, "seq:        {}", entry.seq);
         let _ = writeln!(s, "experiment: {}", entry.experiment);
         let _ = writeln!(s, "key:        {}", entry.key);
         let _ = writeln!(s, "rows:       {}", entry.rows);
@@ -382,10 +386,6 @@ impl RunStore {
 
     pub(crate) fn run_dir(&self, run_id: &str) -> PathBuf {
         self.root.join("runs").join(run_id.trim_start_matches("fex256:"))
-    }
-
-    pub(crate) fn next_seq(&self) -> Result<u64> {
-        Ok(self.list()?.iter().map(|e| e.seq).max().map_or(0, |m| m + 1))
     }
 }
 
@@ -417,17 +417,27 @@ pub(crate) fn scan_index<T>(
 }
 
 /// Appends one line to an append-only index file (the run store's and the
-/// artifact graph's), rewriting the file whole.
+/// artifact graph's) with one `O_APPEND` write. Only the last byte is
+/// read: if a crash tore the previous append mid-line, a leading newline
+/// seals the fragment onto its own line, where the reader skips it.
 pub(crate) fn append_index_line(path: &Path, line: &str) -> std::io::Result<()> {
-    let mut index = fs::read_to_string(path).unwrap_or_default();
-    if !index.is_empty() && !index.ends_with('\n') {
-        // A previous append was torn mid-line (crash); seal the torn
-        // fragment onto its own line so the new entry stays parseable.
-        index.push('\n');
+    let mut file = fs::OpenOptions::new().read(true).append(true).create(true).open(path)?;
+    let mut last = [b'\n'];
+    if let Some(end) = file.metadata()?.len().checked_sub(1) {
+        file.read_exact_at(&mut last, end)?;
     }
-    index.push_str(line);
-    index.push('\n');
-    fs::write(path, index)
+    let seal = if last[0] == b'\n' { "" } else { "\n" };
+    file.write_all(format!("{seal}{line}\n").as_bytes())
+}
+
+/// Replaces an index file whole through `index.json.tmp` and a rename, so
+/// a crash leaves the old index or the new one. For maintenance only: a
+/// line another writer appends meanwhile is lost, and its run dir or node
+/// is an orphan in the next `fex lab fsck`.
+pub(crate) fn rewrite_index(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    fs::write(&tmp, contents)?;
+    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -456,7 +466,6 @@ mod tests {
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         let a = store.save(&cfg, &art("h\n1\n2\n")).unwrap();
         let b = store.save(&cfg.clone().seed(43), &art("h\n3\n")).unwrap();
-        assert_eq!((a.seq, b.seq), (0, 1));
         assert_ne!(a.run_id, b.run_id, "different seeds, different ids");
         assert_eq!(a.rows, 2);
 
@@ -509,7 +518,7 @@ mod tests {
         let store = temp_store("truncated");
         let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
         let a = store.save(&cfg, &art("h\n1\n")).unwrap();
-        let b = store.save(&cfg.clone().seed(99), &art("h\n2\n")).unwrap();
+        store.save(&cfg.clone().seed(99), &art("h\n2\n")).unwrap();
 
         // Tear the last append mid-byte, as a crash during `save` would.
         let index = fs::read_to_string(store.index_path()).unwrap();
@@ -523,9 +532,121 @@ mod tests {
         // Every reader path stays functional on the torn store.
         assert_eq!(store.list().unwrap(), vec![a.clone()]);
         assert_eq!(store.resolve("latest").unwrap(), a);
-        assert_eq!(store.next_seq().unwrap(), b.seq, "torn seq is reusable");
         let c = store.save(&cfg.clone().seed(7), &art("h\n3\n")).unwrap();
         assert_eq!(store.list().unwrap(), vec![a, c], "appends still work");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn every_torn_offset_of_the_last_append_loses_at_most_that_line() {
+        use crate::lab::fsck::{check, IssueKind};
+        let store = temp_store("torn-every");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        let earlier = [
+            store.save(&cfg, &art("h\n1\n")).unwrap(),
+            store.save(&cfg.clone().seed(99), &art("h\n2\n")).unwrap(),
+        ];
+        let start = fs::read(store.index_path()).unwrap().len();
+        let last = store.save(&cfg.clone().seed(7), &art("h\n3\n")).unwrap();
+        let full = fs::read(store.index_path()).unwrap();
+        for k in start..full.len() {
+            // A crash after `k` bytes of the last line reached the disk.
+            fs::write(store.index_path(), &full[..k]).unwrap();
+            let (entries, warnings) = store.scan();
+            assert_eq!(entries[..2], earlier[..], "offset {k}");
+            assert!(entries.len() == 2 || entries[2] == last, "offset {k}: {entries:?}");
+            assert!(warnings.len() <= 1, "offset {k}: {warnings:?}");
+
+            // The torn line's run dir was written before the append, so
+            // it may be an orphan; nothing else may be reported.
+            let report = check(&store);
+            let corrupt = report.issues.iter().filter(|i| i.kind == IssueKind::CorruptIndexLine);
+            assert!(corrupt.count() <= 1, "offset {k}: {}", report.render());
+            assert!(
+                report.issues.iter().all(|i| i.kind == IssueKind::CorruptIndexLine
+                    || (i.kind == IssueKind::OrphanRunDir && i.subject == last.run_id)),
+                "offset {k}: {}",
+                report.render()
+            );
+
+            let next = store.save(&cfg.clone().seed(11), &art("h\n4\n")).unwrap();
+            let listed = store.list().unwrap();
+            assert_eq!(listed[..2], earlier[..], "offset {k}");
+            assert_eq!(listed.last(), Some(&next), "offset {k}");
+            assert_eq!(store.resolve("latest").unwrap(), next, "offset {k}");
+            fs::remove_dir_all(store.run_dir(&next.run_id)).unwrap();
+        }
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn concurrent_savers_lose_no_line() {
+        let store = temp_store("concurrent");
+        let root = store.root().to_path_buf();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let root = &root;
+                s.spawn(move || {
+                    let own = RunStore::open(root).unwrap();
+                    for i in 0..50 {
+                        let cfg =
+                            ExperimentConfig::new("micro").input(InputSize::Test).seed(t * 100 + i);
+                        own.save(&cfg, &art("h\n1\n")).unwrap();
+                    }
+                });
+            }
+        });
+        let (entries, warnings) = store.scan();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let ids: std::collections::BTreeSet<&str> =
+            entries.iter().map(|e| e.run_id.as_str()).collect();
+        assert_eq!((entries.len(), ids.len()), (200, 200));
+        let report = crate::lab::fsck::check(&store);
+        assert!(report.clean(), "{}", report.render());
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn index_and_records_written_with_a_stored_seq_still_open() {
+        // Older versions stored a `seq` key on index lines and in
+        // `record.json`; `gc` could leave gaps in it.
+        let store = temp_store("seq-format");
+        let cfg = ExperimentConfig::new("micro").input(InputSize::Test);
+        let old: Vec<IndexEntry> =
+            (0..3).map(|i| store.save(&cfg.clone().seed(i), &art("h\n1\n")).unwrap()).collect();
+        let with_seq = |line: &str, seq: u64| {
+            line.replacen(", \"experiment\"", &format!(", \"seq\": {seq}, \"experiment\""), 1)
+        };
+        let mut index = String::new();
+        for (e, seq) in old.iter().zip([0, 2, 3]) {
+            index.push_str(&with_seq(&e.to_json(), seq));
+            index.push('\n');
+            let record = store.run_dir(&e.run_id).join("record.json");
+            let text = fs::read_to_string(&record).unwrap();
+            fs::write(&record, with_seq(&text, seq)).unwrap();
+        }
+        assert!(index.contains("\"seq\": 2"), "{index}");
+        fs::write(store.index_path(), &index).unwrap();
+
+        let (entries, warnings) = store.scan();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(entries, old);
+        let json = store.render_list_json(&entries);
+        let seqs: Vec<&str> = json
+            .lines()
+            .map(|l| l.split("\"seq\": ").nth(1).unwrap().split(',').next().unwrap())
+            .collect();
+        assert_eq!(seqs, ["0", "1", "2"], "listed by position");
+        let table = store.render_list(&entries);
+        assert!(table.lines().nth(3).unwrap().starts_with("2     fex256:"), "{table}");
+        assert_eq!(store.resolve("latest").unwrap(), old[2]);
+        assert_eq!(store.resolve("prev").unwrap(), old[1]);
+        let report = crate::lab::fsck::check(&store);
+        assert!(report.clean(), "{}", report.render());
+
+        let next = store.save(&cfg.clone().seed(9), &art("h\n2\n")).unwrap();
+        assert!(fs::read_to_string(store.index_path()).unwrap().starts_with(&index));
+        assert_eq!(store.list().unwrap(), [&old[..], &[next]].concat());
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -27,12 +27,11 @@
 //!   executes again. Both layers are journaled per tenant
 //!   (`serve_stream` carries the hit accounting).
 //! * **Worker pool** — a pool of real worker threads drains the queue.
-//!   The content-addressed [`RunStore`] and artifact graph rewrite
-//!   their whole index file on append (their crash-tolerance
-//!   discipline), which makes them single-writer: the daemon serializes
-//!   lab access across workers with one gate while each submission still
-//!   fans its run units out over `--jobs` workers inside the pipeline.
-//!   Store hits only read, so they bypass the gate.
+//!   The [`RunStore`] and artifact graph take concurrent writers, but
+//!   one gate still runs local executions one at a time to bound memory:
+//!   each owns a whole [`Fex`], and side by side they raised serve-mix
+//!   peak RSS by about a quarter. Each submission still fans its run
+//!   units out over `--jobs` workers, and store hits bypass the gate.
 //!
 //! Clean shutdown (`{"op": "shutdown"}`) stops intake, drains every
 //! queued submission to its client, then exits; the daemon's own journal
@@ -545,9 +544,9 @@ struct Inner {
     completed: AtomicU64,
     store_hits: AtomicU64,
     evictions: AtomicU64,
-    /// The store and graph rewrite their whole index on append — they
-    /// are single-writer by design, so lab access is serialized here.
-    lab_gate: Mutex<()>,
+    /// Serializes local executions. The lab takes concurrent writers;
+    /// the gate bounds memory, since each execution owns a whole [`Fex`].
+    exec_gate: Mutex<()>,
 }
 
 impl Inner {
@@ -599,7 +598,7 @@ impl Inner {
     /// the artifact graph serves every unchanged unit and the store
     /// archives the aggregate.
     fn execute_local(&self, sub: &Submission) -> Result<Executed> {
-        let _lab = self.lab_gate.lock().expect("lab gate");
+        let _exec = self.exec_gate.lock().expect("exec gate");
         let cfg = sub.config(Some(&self.opts.lab));
         let suite = sub.suite()?;
         let mut fex = Fex::new();
@@ -718,7 +717,7 @@ impl Server {
             completed: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            lab_gate: Mutex::new(()),
+            exec_gate: Mutex::new(()),
         });
         let worker_handles = (0..workers)
             .map(|i| {

@@ -273,20 +273,17 @@ impl Fex {
             Some(dir) => Some(crate::lab::RunStore::open(dir)?),
             None => None,
         };
-        if let Some(store) = &lab_store {
-            if journal.enabled() {
-                let art = crate::lab::RunArtifacts {
-                    results_csv: &results_csv,
-                    failures_csv: &failures_csv,
-                    metrics_json: None,
-                    journal_digest: None,
-                };
-                journal.emit(JournalEvent::StoreWrite {
-                    experiment: config.name.clone(),
-                    run_id: crate::lab::RunStore::run_id(config, &art),
-                    seq: store.next_seq()?,
-                });
-            }
+        if lab_store.is_some() && journal.enabled() {
+            let art = crate::lab::RunArtifacts {
+                results_csv: &results_csv,
+                failures_csv: &failures_csv,
+                metrics_json: None,
+                journal_digest: None,
+            };
+            journal.emit(JournalEvent::StoreWrite {
+                experiment: config.name.clone(),
+                run_id: crate::lab::RunStore::run_id(config, &art),
+            });
         }
         let (journal_jsonl, metrics_json) = if journal.enabled() {
             let metrics = Metrics::from_journal(journal.events());
@@ -305,12 +302,7 @@ impl Fex {
                 journal_digest: digest.as_deref(),
             };
             let entry = store.save(config, &art)?;
-            self.log.push(format!(
-                "stored run {} (seq {}) in `{}`",
-                entry.run_id,
-                entry.seq,
-                store.root().display()
-            ));
+            self.log.push(format!("stored run {} in `{}`", entry.run_id, store.root().display()));
         }
         self.container
             .fs_mut()
