@@ -63,8 +63,8 @@ pub enum Action {
         /// Replay a `<seed> <case>` regression file instead of fuzzing.
         regressions: Option<String>,
     },
-    /// `fex graph stats`: per-kind node counts and size of the
-    /// content-addressed artifact graph inside a lab directory.
+    /// `fex graph stats`: the node count of the content-addressed
+    /// artifact graph inside a lab directory.
     Graph {
         /// Lab directory holding the graph (`--lab`, default
         /// `.fex-lab`).

@@ -18,16 +18,18 @@
 //! the build system's in-memory decode-cache key
 //! ([`Artifact::digest`](crate::build::Artifact)).
 //!
-//! The graph lives under `<lab>/graph/` with the same append-only
-//! flat-JSON index discipline as [`lab::store`](crate::lab::store): one
-//! object per line appended with one `O_APPEND` write (so concurrent
-//! writers lose nothing), a line's position as its sequence number, no
-//! wall clocks, torn appends sealed onto their own line, per-line fault
-//! isolation on read. Index lines written by older versions carry `seq`
-//! and `kind` keys and may name provenance or aggregate nodes; the reader
-//! ignores both keys and such nodes are never looked up. `fex lab fsck`
-//! walks the graph (orphaned node dirs, payload digest mismatches) with
-//! the same detect/quarantine treatment as run dirs.
+//! The graph lives under `<lab>/graph/` with no index: a node is exactly
+//! its directory, `nodes/<hex>/`, and its `payload.json` holds two lines
+//! — the run payload and the `fex256` digest of that line. A writer
+//! renames a whole file into place, so a crash, a torn write or a
+//! concurrent writer of the same key leaves no payload or a complete one.
+//! A reader serves a node only when its file verifies against its own
+//! digest; anything else is a miss, and the store that follows rewrites
+//! the node. Graphs written with an index (`graph/index.json`) are
+//! upgraded once by [`ArtifactGraph::open`]; mixing older fex binaries
+//! on one lab is not supported. `fex lab fsck` walks `nodes/*` (missing
+//! or unverifiable payloads) with the same detect/quarantine treatment
+//! as run dirs.
 //!
 //! Only *clean* run units are cached: first-attempt successes of
 //! fault-free units. Fault-armed or failing units bypass the graph
@@ -37,17 +39,17 @@
 //! byte-identical to cold ones (locked by `tests/graph_diff.rs` and the
 //! fuzzer's `warm` oracle).
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fex_container::{digest_bytes, Digest, DigestBuilder};
 use fex_vm::{CacheStats, HeapStats, PerfCounters, RunResult};
 
 use crate::error::{FexError, Result};
 use crate::journal::{self, JsonLine};
-use crate::lab::store::{append_index_line, scan_index};
+use crate::lab::store::scan_index;
 
 // ---------------------------------------------------------------------
 // Key derivation
@@ -122,47 +124,18 @@ pub fn unit_key(
 // The on-disk node cache
 // ---------------------------------------------------------------------
 
-/// One line of the graph index; the newest entry is the last line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphIndexEntry {
-    /// The node's key (`fex256:…`).
-    pub digest: String,
-    /// Digest of the payload bytes as written — `fex lab fsck`
-    /// recomputes this to catch silently-edited or torn payloads.
-    pub payload_digest: String,
-}
-
-impl GraphIndexEntry {
-    pub(crate) fn to_json(&self) -> String {
-        let mut w = JsonLine::object("digest", &self.digest);
-        w.str("payload", &self.payload_digest);
-        w.finish()
-    }
-
-    pub(crate) fn parse(line: &str) -> Result<GraphIndexEntry> {
-        let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
-        let map = journal::parse_flat_object(line).map_err(bad)?;
-        Ok(GraphIndexEntry {
-            digest: journal::get_str(&map, "digest").map_err(bad)?.to_string(),
-            payload_digest: journal::get_str(&map, "payload").map_err(bad)?.to_string(),
-        })
-    }
-}
+/// A node's payload file name inside its directory.
+pub(crate) const PAYLOAD: &str = "payload.json";
 
 /// The artifact graph's node cache, rooted at `<lab>/graph/`.
 ///
-/// Layout mirrors the run store:
-///
 /// ```text
 /// <lab>/graph/
-///   index.json                   # one flat JSON object per line
-///   nodes/<digest>/payload.json  # the node's cached payload
+///   nodes/<hex>/payload.json  # the run payload line, then its digest
 /// ```
 #[derive(Debug)]
 pub struct ArtifactGraph {
     root: PathBuf,
-    /// Indexed digest values, for O(1) lookups.
-    index: HashSet<u128>,
     warnings: Vec<String>,
     hits: u64,
     misses: u64,
@@ -173,8 +146,8 @@ impl ArtifactGraph {
     pub const SUBDIR: &'static str = "graph";
 
     /// Opens (creating if necessary) the graph under the lab rooted at
-    /// `lab_root`. Corrupt index lines are skipped with a warning, the
-    /// same per-line fault isolation as the run store.
+    /// `lab_root`, first upgrading a graph written with an index (see
+    /// [`ArtifactGraph::warnings`]).
     ///
     /// # Errors
     ///
@@ -184,9 +157,8 @@ impl ArtifactGraph {
         fs::create_dir_all(root.join("nodes")).map_err(|e| {
             FexError::Data(format!("cannot create graph at `{}`: {e}", root.display()))
         })?;
-        let (entries, warnings) = Self::scan_at(&root);
-        let index = entries.iter().filter_map(|e| parse_digest(&e.digest)).map(|d| d.0).collect();
-        Ok(ArtifactGraph { root, index, warnings, hits: 0, misses: 0 })
+        let warnings = upgrade_index(&root);
+        Ok(ArtifactGraph { root, warnings, hits: 0, misses: 0 })
     }
 
     /// The graph's root directory (`<lab>/graph`).
@@ -194,32 +166,20 @@ impl ArtifactGraph {
         &self.root
     }
 
-    /// Reads a graph index with per-line fault isolation: every parseable
-    /// entry plus one warning per skipped line.
-    pub fn scan_at(root: &Path) -> (Vec<GraphIndexEntry>, Vec<String>) {
-        let (entries, skipped) =
-            scan_index(&root.join("index.json"), "graph index", GraphIndexEntry::parse);
-        (entries, skipped.into_iter().map(|(_, warning)| warning).collect())
-    }
-
-    /// Warnings accumulated while opening (corrupt index lines).
+    /// Warnings from the upgrade of an older graph: one per index line or
+    /// payload it could not verify.
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
 
-    /// Whether a node with this key exists.
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.index.contains(&digest.0)
-    }
-
-    /// Nodes currently indexed.
+    /// Node directories on disk.
     pub fn len(&self) -> usize {
-        self.index.len()
+        node_names(&self.root).len()
     }
 
     /// Whether the graph holds no nodes.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Run units served from the cache this session.
@@ -233,16 +193,14 @@ impl ArtifactGraph {
     }
 
     /// Looks up a cached run-unit result, counting a session hit or miss.
-    /// Unreadable or torn payloads degrade to a miss — the unit simply
-    /// re-executes — never an error.
+    /// A node is served only when its payload file is exactly the payload
+    /// line plus that line's digest and the line parses; a missing, torn
+    /// or edited node is a miss — the unit simply re-executes — never an
+    /// error.
     pub fn lookup_run(&mut self, digest: &Digest) -> Option<RunResult> {
-        let served = if self.contains(digest) {
-            fs::read_to_string(self.payload_path(digest))
-                .ok()
-                .and_then(|text| run_from_json(text.trim()))
-        } else {
-            None
-        };
+        let served = fs::read_to_string(self.node_dir(digest).join(PAYLOAD))
+            .ok()
+            .and_then(|text| verified_payload(&text).and_then(run_from_json));
         match served {
             Some(run) => {
                 self.hits += 1;
@@ -255,29 +213,17 @@ impl ArtifactGraph {
         }
     }
 
-    /// Stores a clean run unit's result under its key. Idempotent: a key
-    /// already present is left untouched (content-addressed nodes are
-    /// immutable).
+    /// Stores a clean run unit's result under its key, after a miss: the
+    /// node is always written whole, so a torn or edited node is repaired,
+    /// and concurrent writers of one key each rename identical bytes into
+    /// place.
     ///
     /// # Errors
     ///
     /// [`FexError::Data`] on filesystem failures.
     pub fn store_run(&mut self, digest: &Digest, run: &RunResult) -> Result<()> {
-        if self.contains(digest) {
-            return Ok(());
-        }
-        let payload = run_to_json(run);
-        let io = |e: std::io::Error| FexError::Data(format!("graph write failed: {e}"));
-        let dir = self.node_dir(digest);
-        fs::create_dir_all(&dir).map_err(io)?;
-        fs::write(dir.join("payload.json"), &payload).map_err(io)?;
-        let entry = GraphIndexEntry {
-            digest: digest.to_string(),
-            payload_digest: digest_bytes(payload.as_bytes()).to_string(),
-        };
-        append_index_line(&self.index_path(), &entry.to_json()).map_err(io)?;
-        self.index.insert(digest.0);
-        Ok(())
+        write_node(&self.node_dir(digest), &run_to_json(run))
+            .map_err(|e| FexError::Data(format!("graph write failed: {e}")))
     }
 
     /// Renders `fex graph stats` output.
@@ -290,16 +236,8 @@ impl ArtifactGraph {
         s
     }
 
-    pub(crate) fn index_path(&self) -> PathBuf {
-        self.root.join("index.json")
-    }
-
     fn node_dir(&self, digest: &Digest) -> PathBuf {
         node_dir_at(&self.root, &digest.to_string())
-    }
-
-    fn payload_path(&self, digest: &Digest) -> PathBuf {
-        self.node_dir(digest).join("payload.json")
     }
 }
 
@@ -308,9 +246,87 @@ pub(crate) fn node_dir_at(root: &Path, digest: &str) -> PathBuf {
     root.join("nodes").join(digest.trim_start_matches("fex256:"))
 }
 
-/// Parses a `fex256:<hex>` digest string back into a [`Digest`].
-fn parse_digest(s: &str) -> Option<Digest> {
-    u128::from_str_radix(s.strip_prefix("fex256:")?, 16).ok().map(Digest)
+/// The names of the node directories under a graph root, sorted.
+pub(crate) fn node_names(root: &Path) -> Vec<String> {
+    let Ok(dirs) = fs::read_dir(root.join("nodes")) else {
+        return Vec::new();
+    };
+    let mut names: Vec<String> = dirs
+        .filter_map(|d| d.ok())
+        .filter(|d| d.file_type().is_ok_and(|t| t.is_dir()))
+        .map(|d| d.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The payload line of a node's `payload.json`, when the file is exactly
+/// two lines — the payload, then the digest of its bytes — and the digest
+/// matches.
+pub(crate) fn verified_payload(text: &str) -> Option<&str> {
+    let (payload, digest) = text.strip_suffix('\n')?.split_once('\n')?;
+    (digest_bytes(payload.as_bytes()).to_string() == digest).then_some(payload)
+}
+
+/// Writes a node's `payload.json`: the payload line and its digest go to
+/// a temporary file in the node's directory, named by this process and a
+/// process-wide counter (so no two writers, thread or process, share
+/// it), which is then renamed into place. Nothing is synced: a node that
+/// a power loss empties or tears fails verification and re-executes.
+fn write_node(dir: &Path, payload: &str) -> std::io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    fs::create_dir_all(dir)?;
+    let n = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!("payload.{}.{n}.tmp", std::process::id()));
+    fs::write(&tmp, format!("{payload}\n{}\n", digest_bytes(payload.as_bytes())))?;
+    fs::rename(&tmp, dir.join(PAYLOAD))
+}
+
+/// Parses one line of the index older graphs kept into its node digest
+/// and payload digest; lines that also carry `seq` and `kind` keys parse
+/// the same. Read only by [`upgrade_index`].
+fn parse_legacy_line(line: &str) -> Result<(String, String)> {
+    let bad = |i: journal::ParseIssue| FexError::Data(format!("corrupt graph index: {i}"));
+    let map = journal::parse_flat_object(line).map_err(bad)?;
+    let get = |k| journal::get_str(&map, k).map(str::to_string).map_err(bad);
+    Ok((get("digest")?, get("payload")?))
+}
+
+/// Upgrades, once, a graph written with `graph/index.json` (one
+/// `{digest, payload}` line per node beside one-line payloads): each
+/// indexed payload that matches the digest its line records is rewritten
+/// into the two-line form, payloads already in that form are left alone,
+/// and the index is deleted. Returns one warning per index line or
+/// payload that could not be verified; such payloads stay one line, so
+/// they miss and `fex lab fsck` flags them.
+fn upgrade_index(root: &Path) -> Vec<String> {
+    let index = root.join("index.json");
+    if !index.is_file() {
+        return Vec::new();
+    }
+    let (entries, skipped) = scan_index(&index, "graph index", parse_legacy_line);
+    let mut warnings: Vec<String> = skipped.into_iter().map(|(_, warning)| warning).collect();
+    for (digest, payload_digest) in entries {
+        let dir = node_dir_at(root, &digest);
+        let unverified = match fs::read_to_string(dir.join(PAYLOAD)) {
+            Ok(text) if verified_payload(&text).is_some() => continue,
+            Ok(text) if digest_bytes(text.as_bytes()).to_string() == payload_digest => {
+                match write_node(&dir, &text) {
+                    Ok(()) => continue,
+                    Err(e) => format!("cannot upgrade it: {e}"),
+                }
+            }
+            Ok(_) => "its payload does not match the indexed digest".to_string(),
+            Err(e) => format!("cannot read its payload: {e}"),
+        };
+        warnings.push(format!("graph node {digest}: {unverified}"));
+    }
+    if let Err(e) = fs::remove_file(&index) {
+        if e.kind() != std::io::ErrorKind::NotFound {
+            warnings.push(format!("cannot delete the upgraded graph index: {e}"));
+        }
+    }
+    warnings
 }
 
 // ---------------------------------------------------------------------
@@ -510,11 +526,11 @@ pub(crate) mod tests {
         assert_eq!(g.lookup_run(&key), Some(run.clone()));
         assert_eq!((g.hits(), g.misses()), (1, 1));
 
-        // Storing again is an idempotent no-op.
+        // Storing again rewrites the same node.
         g.store_run(&key, &run).unwrap();
         assert_eq!(g.len(), 1);
 
-        // A fresh open replays the index from disk.
+        // A fresh open reads the node from disk.
         let mut g2 = ArtifactGraph::open(&lab).unwrap();
         assert!(g2.warnings().is_empty());
         assert_eq!(g2.lookup_run(&key), Some(run));
@@ -524,81 +540,33 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn torn_index_and_payload_degrade_to_misses_not_errors() {
-        let lab = temp_lab("torn");
-        let mut g = ArtifactGraph::open(&lab).unwrap();
-        let key_a = unit_key(Digest(1), 1, 1, None, "native", &[], None);
-        let key_b = unit_key(Digest(2), 2, 1, None, "native", &[], None);
-        g.store_run(&key_a, &sample_run()).unwrap();
-        g.store_run(&key_b, &sample_run()).unwrap();
-
-        // Tear the last index append mid-line.
-        let index_path = g.index_path();
-        let index = fs::read_to_string(&index_path).unwrap();
-        fs::write(&index_path, &index[..index.len() - 9]).unwrap();
-
-        let mut g2 = ArtifactGraph::open(&lab).unwrap();
-        assert_eq!(g2.warnings().len(), 1, "{:?}", g2.warnings());
-        assert!(g2.lookup_run(&key_a).is_some(), "intact node survives");
-        assert!(g2.lookup_run(&key_b).is_none(), "torn entry is a miss");
-        // Appends still work after the torn line is sealed.
-        g2.store_run(&key_b, &sample_run()).unwrap();
-        assert!(ArtifactGraph::open(&lab).unwrap().lookup_run(&key_b).is_some());
-
-        // A torn payload is a miss too, never a panic or error.
-        let payload = node_dir_at(g2.root(), &key_a.to_string()).join("payload.json");
-        let bytes = fs::read_to_string(&payload).unwrap();
-        fs::write(&payload, &bytes[..bytes.len() / 2]).unwrap();
-        let mut g3 = ArtifactGraph::open(&lab).unwrap();
-        assert!(g3.lookup_run(&key_a).is_none());
-        let _ = fs::remove_dir_all(&lab);
-    }
-
-    #[test]
-    fn every_torn_offset_of_the_last_append_loses_at_most_that_node() {
-        use crate::lab::fsck::{check, IssueKind};
+    fn a_payload_torn_at_every_offset_misses_is_flagged_and_is_repaired() {
+        use crate::lab::fsck::check;
         let lab = temp_lab("torn-every");
         let store = crate::lab::RunStore::open(&lab).unwrap();
         let mut g = ArtifactGraph::open(&lab).unwrap();
-        let earlier = [Digest(1), Digest(2)];
-        for d in &earlier {
-            g.store_run(d, &sample_run()).unwrap();
-        }
-        let index_path = g.index_path();
-        let start = fs::read(&index_path).unwrap().len();
-        let last = Digest(3);
-        g.store_run(&last, &sample_run()).unwrap();
-        let full = fs::read(&index_path).unwrap();
-        let next = Digest(4);
-        for k in start..full.len() {
-            fs::write(&index_path, &full[..k]).unwrap();
+        let intact = Digest(1);
+        let torn = Digest(2);
+        g.store_run(&intact, &sample_run()).unwrap();
+        g.store_run(&torn, &sample_run()).unwrap();
+        let path = node_dir_at(g.root(), &torn.to_string()).join(PAYLOAD);
+        let full = fs::read(&path).unwrap();
+        for k in 0..full.len() {
+            // A writer that lost the node after `k` bytes.
+            fs::write(&path, &full[..k]).unwrap();
             let mut g2 = ArtifactGraph::open(&lab).unwrap();
-            assert!(g2.warnings().len() <= 1, "offset {k}: {:?}", g2.warnings());
-            for d in &earlier {
-                assert!(g2.lookup_run(d).is_some(), "offset {k}: {d} lost");
-            }
+            assert!(g2.lookup_run(&torn).is_none(), "offset {k}: a torn node was served");
+            assert!(g2.lookup_run(&intact).is_some(), "offset {k}");
 
-            // The torn node's payload was written before the append, so
-            // it may be an orphan; nothing else may be reported.
             let report = check(&store);
-            let corrupt =
-                report.issues.iter().filter(|i| i.kind == IssueKind::CorruptGraphIndexLine);
-            assert!(corrupt.count() <= 1, "offset {k}: {}", report.render());
-            assert!(
-                report.issues.iter().all(|i| i.kind == IssueKind::CorruptGraphIndexLine
-                    || (i.kind == IssueKind::OrphanGraphNode && i.subject == last.to_string())),
-                "offset {k}: {}",
-                report.render()
-            );
+            assert_eq!(report.graph_nodes_checked, 2, "offset {k}");
+            assert_eq!(report.issues.len(), 1, "offset {k}: {}", report.render());
+            assert_eq!(report.issues[0].subject, torn.to_string(), "offset {k}");
 
-            g2.store_run(&next, &sample_run()).unwrap();
-            let (entries, warnings) = ArtifactGraph::scan_at(g2.root());
-            assert!(warnings.len() <= 1, "offset {k}: {warnings:?}");
-            let digests: Vec<String> = entries.iter().map(|e| e.digest.clone()).collect();
-            assert_eq!(digests[..2], [earlier[0].to_string(), earlier[1].to_string()]);
-            assert_eq!(digests.last(), Some(&next.to_string()), "offset {k}");
-            assert!(ArtifactGraph::open(&lab).unwrap().lookup_run(&next).is_some());
-            fs::remove_dir_all(node_dir_at(g2.root(), &next.to_string())).unwrap();
+            g2.store_run(&torn, &sample_run()).unwrap();
+            assert_eq!(fs::read(&path).unwrap(), full, "offset {k}: the store repairs the node");
+            assert!(g2.lookup_run(&torn).is_some(), "offset {k}");
+            assert!(check(&store).clean(), "offset {k}");
         }
         let _ = fs::remove_dir_all(&lab);
     }
@@ -631,15 +599,89 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn index_keeps_insertion_order_across_reopens() {
-        let lab = temp_lab("order");
+    fn concurrent_writers_of_the_same_keys_leave_one_node_per_key() {
+        let lab = temp_lab("same-keys");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (lab, start) = (&lab, &start);
+                s.spawn(move || {
+                    let mut own = ArtifactGraph::open(lab).unwrap();
+                    start.wait();
+                    for i in 0..50 {
+                        own.store_run(&Digest(i), &sample_run()).unwrap();
+                    }
+                });
+            }
+        });
         let mut g = ArtifactGraph::open(&lab).unwrap();
-        g.store_run(&Digest(10), &sample_run()).unwrap();
-        let mut g2 = ArtifactGraph::open(&lab).unwrap();
-        g2.store_run(&Digest(11), &sample_run()).unwrap();
-        let (entries, _) = ArtifactGraph::scan_at(g2.root());
-        let digests: Vec<&str> = entries.iter().map(|e| e.digest.as_str()).collect();
-        assert_eq!(digests, vec![Digest(10).to_string(), Digest(11).to_string()]);
+        assert_eq!(g.len(), 50);
+        assert!((0..50).all(|i| g.lookup_run(&Digest(i)).is_some()));
+        let report = crate::lab::fsck::check(&crate::lab::RunStore::open(&lab).unwrap());
+        assert_eq!(report.graph_nodes_checked, 50, "{}", report.render());
+        assert!(report.clean(), "{}", report.render());
+        let _ = fs::remove_dir_all(&lab);
+    }
+
+    /// Lays out a graph as older versions wrote it: one-line payloads and
+    /// an index of `{digest, payload}` lines, every other line carrying
+    /// the `seq` and `kind` keys of still older writers. The payload of
+    /// `tampered`, if any, no longer matches its indexed digest.
+    fn older_graph(lab: &Path, keys: &[Digest], tampered: Option<Digest>) {
+        let root = lab.join(ArtifactGraph::SUBDIR);
+        let mut index = String::new();
+        for (seq, key) in keys.iter().enumerate() {
+            let payload = run_to_json(&sample_run());
+            let dir = node_dir_at(&root, &key.to_string());
+            fs::create_dir_all(&dir).unwrap();
+            let written = match tampered {
+                Some(t) if t == *key => {
+                    payload.replace("\"ctr_cycles\": 2500", "\"ctr_cycles\": 9")
+                }
+                _ => payload.clone(),
+            };
+            fs::write(dir.join(PAYLOAD), written).unwrap();
+            let pd = digest_bytes(payload.as_bytes());
+            index.push_str(&if seq % 2 == 0 {
+                format!("{{\"digest\": \"{key}\", \"payload\": \"{pd}\"}}\n")
+            } else {
+                format!(
+                    "{{\"digest\":\"{key}\",\"seq\":{seq},\"kind\":\"run_unit\",\"payload\":\"{pd}\"}}\n"
+                )
+            });
+        }
+        fs::write(root.join("index.json"), index).unwrap();
+    }
+
+    #[test]
+    fn a_graph_written_with_an_index_is_upgraded_once_and_serves_warm() {
+        use crate::lab::fsck::{check, IssueKind};
+        let keys: Vec<Digest> = (1..=4).map(Digest).collect();
+        let lab = temp_lab("upgrade");
+        older_graph(&lab, &keys, None);
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        assert!(g.warnings().is_empty(), "{:?}", g.warnings());
+        assert!(!g.root().join("index.json").exists(), "the index is deleted");
+        assert_eq!(g.len(), keys.len());
+        assert!(keys.iter().all(|k| g.lookup_run(k) == Some(sample_run())), "100% warm");
+        let report = check(&crate::lab::RunStore::open(&lab).unwrap());
+        assert!(report.clean(), "{}", report.render());
+        assert_eq!(report.graph_nodes_checked, keys.len());
+        let _ = fs::remove_dir_all(&lab);
+
+        // A payload edited behind the older index stays unverified.
+        let lab = temp_lab("upgrade-tampered");
+        older_graph(&lab, &keys, Some(keys[2]));
+        let mut g = ArtifactGraph::open(&lab).unwrap();
+        assert_eq!(g.warnings().len(), 1, "{:?}", g.warnings());
+        assert!(g.warnings()[0].contains(&keys[2].to_string()), "{:?}", g.warnings());
+        assert!(g.lookup_run(&keys[2]).is_none());
+        assert_eq!((g.hits(), g.misses()), (0, 1));
+        let report = check(&crate::lab::RunStore::open(&lab).unwrap());
+        let kinds: Vec<(IssueKind, &str)> =
+            report.issues.iter().map(|i| (i.kind, i.subject.as_str())).collect();
+        let subject = keys[2].to_string();
+        assert_eq!(kinds, [(IssueKind::GraphDigestMismatch, subject.as_str())]);
         let _ = fs::remove_dir_all(&lab);
     }
 }

@@ -9,6 +9,10 @@
 //! runs into `<root>/quarantine/` and rewrites the index to the surviving
 //! entries, restoring a clean store without deleting evidence.
 //!
+//! The artifact graph has no index: its pass walks `graph/nodes/*` and
+//! checks that each node's payload verifies against its own digest line.
+//! Bad node directories move under `quarantine/graph-<hex>`.
+//!
 //! [`Corruption`] is the matching fault injector — the same torn-write
 //! and missing-file shapes the checker must catch, applied
 //! deterministically so both the unit tests here and the `fex fuzz`
@@ -42,28 +46,18 @@ pub enum IssueKind {
     CorruptRecord,
     /// A `runs/` directory no surviving index entry references.
     OrphanRunDir,
-    /// A graph index line that does not parse (torn append).
-    CorruptGraphIndexLine,
-    /// A graph index entry whose node payload is gone.
+    /// A `graph/nodes/` directory with no readable `payload.json`.
     MissingGraphNode,
-    /// Node payload bytes that no longer hash to the indexed payload
+    /// A node payload that is not its payload line plus that line's
     /// digest (the node was edited or torn behind the graph's back).
     GraphDigestMismatch,
-    /// A `graph/nodes/` directory no surviving index entry references.
-    OrphanGraphNode,
 }
 
 impl IssueKind {
     /// Whether this issue lives in the artifact graph (subjects are node
     /// digests) rather than the run store (subjects are run ids).
     fn is_graph(self) -> bool {
-        matches!(
-            self,
-            IssueKind::CorruptGraphIndexLine
-                | IssueKind::MissingGraphNode
-                | IssueKind::GraphDigestMismatch
-                | IssueKind::OrphanGraphNode
-        )
+        matches!(self, IssueKind::MissingGraphNode | IssueKind::GraphDigestMismatch)
     }
 }
 
@@ -77,10 +71,8 @@ impl fmt::Display for IssueKind {
             IssueKind::CountMismatch => "count-mismatch",
             IssueKind::CorruptRecord => "corrupt-record",
             IssueKind::OrphanRunDir => "orphan-run-dir",
-            IssueKind::CorruptGraphIndexLine => "corrupt-graph-index-line",
             IssueKind::MissingGraphNode => "missing-graph-node",
             IssueKind::GraphDigestMismatch => "graph-digest-mismatch",
-            IssueKind::OrphanGraphNode => "orphan-graph-node",
         })
     }
 }
@@ -139,7 +131,8 @@ impl FsckReport {
     }
 }
 
-/// Checks every invariant of the store without touching it.
+/// Checks every invariant of the store without touching it (opening the
+/// graph upgrades an older one first; see [`graph::ArtifactGraph::open`]).
 pub fn check(store: &RunStore) -> FsckReport {
     let mut report = FsckReport::default();
     let (entries, skipped) = scan_index(&store.index_path(), "index", IndexEntry::parse);
@@ -183,52 +176,38 @@ fn orphan_dirs<'a>(dir: &Path, referenced: impl Iterator<Item = &'a str>) -> Vec
     orphans
 }
 
-/// The artifact-graph pass: same invariants as the run store, applied to
-/// `<root>/graph/`. A lab without a graph (pre-graph labs, `--no-graph`
-/// runs) skips silently.
+/// The artifact-graph pass: every directory under `<root>/graph/nodes/`
+/// must hold a payload that verifies against its own digest line. A lab
+/// without a graph (pre-graph labs, `--no-graph` runs) skips silently.
 fn check_graph(store: &RunStore, report: &mut FsckReport) {
-    let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    if !groot.is_dir() {
+    if !store.root().join(graph::ArtifactGraph::SUBDIR).is_dir() {
         return;
     }
-    let (entries, skipped) =
-        scan_index(&groot.join("index.json"), "graph index", graph::GraphIndexEntry::parse);
-    for (line, _) in skipped {
-        report.issues.push(FsckIssue {
-            kind: IssueKind::CorruptGraphIndexLine,
-            subject: format!("graph index line {line}"),
-            detail: "unparseable".into(),
-        });
-    }
-    report.graph_nodes_checked = entries.len();
-    for entry in &entries {
-        let payload_path = graph::node_dir_at(&groot, &entry.digest).join("payload.json");
-        match fs::read_to_string(&payload_path) {
+    let Ok(g) = graph::ArtifactGraph::open(store.root()) else {
+        return;
+    };
+    let names = graph::node_names(g.root());
+    report.graph_nodes_checked = names.len();
+    for name in names {
+        let subject = format!("fex256:{name}");
+        match fs::read(graph::node_dir_at(g.root(), &name).join(graph::PAYLOAD)) {
             Err(e) => report.issues.push(FsckIssue {
                 kind: IssueKind::MissingGraphNode,
-                subject: entry.digest.clone(),
+                subject,
                 detail: format!("cannot read `payload.json`: {e}"),
             }),
-            Ok(payload) => {
-                let recomputed = fex_container::digest_bytes(payload.as_bytes()).to_string();
-                if recomputed != entry.payload_digest {
+            Ok(bytes) => {
+                if std::str::from_utf8(&bytes).ok().and_then(graph::verified_payload).is_none() {
                     report.issues.push(FsckIssue {
                         kind: IssueKind::GraphDigestMismatch,
-                        subject: entry.digest.clone(),
-                        detail: format!(
-                            "payload hashes to {recomputed}; the node was edited or torn"
-                        ),
+                        subject,
+                        detail: "payload does not verify against its digest line; the node \
+                                 was edited or torn"
+                            .into(),
                     });
                 }
             }
         }
-    }
-    for name in orphan_dirs(&groot.join("nodes"), entries.iter().map(|e| e.digest.as_str())) {
-        report.issues.push(FsckIssue {
-            kind: IssueKind::OrphanGraphNode,
-            subject: format!("fex256:{name}"),
-            detail: "no graph index entry references this node".into(),
-        });
     }
 }
 
@@ -296,8 +275,9 @@ fn check_entry(store: &RunStore, entry: &IndexEntry, report: &mut FsckReport) {
 }
 
 /// Checks the store and, when `quarantine` is set, moves every corrupt
-/// run directory (and orphan) under `<root>/quarantine/` and rewrites the
-/// index to the clean entries. Returns the final report.
+/// run directory (and orphan) and every bad graph node under
+/// `<root>/quarantine/` and rewrites the store index to the clean
+/// entries. Returns the final report.
 /// Quarantining is a maintenance operation (see `rewrite_index`).
 ///
 /// # Errors
@@ -311,44 +291,40 @@ pub fn fsck(store: &RunStore, quarantine: bool) -> Result<FsckReport> {
     let qdir = store.root().join("quarantine");
     fs::create_dir_all(&qdir)
         .map_err(|e| FexError::Data(format!("cannot create `{}`: {e}", qdir.display())))?;
-    let entries = store.scan().0.into_iter().map(|e| (e.run_id.clone(), e.to_json()));
-    let run_dir = |run_id: &str| store.run_dir(run_id);
-    quarantine_side(&mut report, false, &qdir, run_dir, &store.index_path(), entries)?;
-    // The graph gets the same treatment: bad node directories move under
-    // `quarantine/graph-<digest>`.
+    let bad = quarantine_side(&mut report, false, &qdir, |run_id| store.run_dir(run_id))?;
+    // Rewriting the index to the entries left drops corrupt lines and bad
+    // entries in one go.
+    let survivors: String = store
+        .scan()
+        .0
+        .into_iter()
+        .filter(|e| !bad.contains(&e.run_id))
+        .map(|e| e.to_json() + "\n")
+        .collect();
+    let index = store.index_path();
+    rewrite_index(&index, &survivors)
+        .map_err(|e| FexError::Data(format!("cannot rewrite `{}`: {e}", index.display())))?;
+    // Bad graph nodes move under `quarantine/graph-<hex>`; the graph has
+    // no index to rewrite.
     let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    if groot.is_dir() && report.issues.iter().any(|i| i.kind.is_graph()) {
-        let entries = graph::ArtifactGraph::scan_at(&groot)
-            .0
-            .into_iter()
-            .map(|e| (e.digest.clone(), e.to_json()));
-        let node_dir = |digest: &str| graph::node_dir_at(&groot, digest);
-        quarantine_side(&mut report, true, &qdir, node_dir, &groot.join("index.json"), entries)?;
-    }
+    quarantine_side(&mut report, true, &qdir, |digest| graph::node_dir_at(&groot, digest))?;
     Ok(report)
 }
 
 /// The quarantine step the store and the graph share. Every subject with
 /// an issue on this side (`graph`), other than a corrupt index line, has
 /// its directory (`dir_of`) moved under `qdir` and is recorded as
-/// quarantined; then `index` is rewritten to the `(subject, line)`
-/// entries that are left, which drops corrupt lines and bad entries in
-/// one go.
+/// quarantined. Returns those subjects.
 fn quarantine_side(
     report: &mut FsckReport,
     graph: bool,
     qdir: &Path,
     dir_of: impl Fn(&str) -> PathBuf,
-    index: &Path,
-    entries: impl Iterator<Item = (String, String)>,
-) -> Result<()> {
+) -> Result<BTreeSet<String>> {
     let bad: BTreeSet<String> = report
         .issues
         .iter()
-        .filter(|i| i.kind.is_graph() == graph)
-        .filter(|i| {
-            !matches!(i.kind, IssueKind::CorruptIndexLine | IssueKind::CorruptGraphIndexLine)
-        })
+        .filter(|i| i.kind.is_graph() == graph && i.kind != IssueKind::CorruptIndexLine)
         .map(|i| i.subject.clone())
         .collect();
     let tag = if graph { "graph-" } else { "" };
@@ -362,12 +338,7 @@ fn quarantine_side(
         }
         report.quarantined.push(subject.clone());
     }
-    let survivors: String = entries
-        .filter(|(subject, _)| !bad.contains(subject))
-        .map(|(_, line)| line + "\n")
-        .collect();
-    rewrite_index(index, &survivors)
-        .map_err(|e| FexError::Data(format!("cannot rewrite `{}`: {e}", index.display())))
+    Ok(bad)
 }
 
 // ---------------------------------------------------------------------
@@ -461,42 +432,29 @@ pub fn inject(store: &RunStore, corruption: Corruption) -> Result<()> {
 /// [`Corruption::ALL`] by position, so that array must never grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphCorruption {
-    /// Tear the final graph index append mid-record.
-    TruncatedGraphIndex,
-    /// Append a non-JSON line to the graph index.
-    GarbageGraphIndexLine,
-    /// Delete the newest node's `payload.json`.
+    /// Delete the last node's `payload.json`.
     MissingNodePayload,
-    /// Append bytes to the newest node's payload (silent edit).
+    /// Append bytes to the last node's payload (silent edit).
     EditedNodePayload,
-    /// Drop an unreferenced node directory into `graph/nodes/`.
-    OrphanNodeDir,
 }
 
 impl GraphCorruption {
     /// Every injectable graph corruption, in a stable order.
-    pub const ALL: [GraphCorruption; 5] = [
-        GraphCorruption::TruncatedGraphIndex,
-        GraphCorruption::GarbageGraphIndexLine,
-        GraphCorruption::MissingNodePayload,
-        GraphCorruption::EditedNodePayload,
-        GraphCorruption::OrphanNodeDir,
-    ];
+    pub const ALL: [GraphCorruption; 2] =
+        [GraphCorruption::MissingNodePayload, GraphCorruption::EditedNodePayload];
 }
 
 impl fmt::Display for GraphCorruption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            GraphCorruption::TruncatedGraphIndex => "truncated-graph-index",
-            GraphCorruption::GarbageGraphIndexLine => "garbage-graph-index-line",
             GraphCorruption::MissingNodePayload => "missing-node-payload",
             GraphCorruption::EditedNodePayload => "edited-node-payload",
-            GraphCorruption::OrphanNodeDir => "orphan-node-dir",
         })
     }
 }
 
-/// Applies `corruption` to the newest node of `store`'s artifact graph.
+/// Applies `corruption` to the node of `store`'s artifact graph whose
+/// name sorts last.
 ///
 /// # Errors
 ///
@@ -504,36 +462,17 @@ impl fmt::Display for GraphCorruption {
 /// filesystem refuses.
 pub fn inject_graph(store: &RunStore, corruption: GraphCorruption) -> Result<()> {
     let groot = store.root().join(graph::ArtifactGraph::SUBDIR);
-    let index_path = groot.join("index.json");
     let io = |e: std::io::Error| FexError::Data(format!("graph fault injection failed: {e}"));
-    let (entries, _) = graph::ArtifactGraph::scan_at(&groot);
-    let newest =
-        || entries.last().ok_or_else(|| FexError::Data("the artifact graph is empty".into()));
+    let last = graph::node_names(&groot)
+        .pop()
+        .ok_or_else(|| FexError::Data("the artifact graph is empty".into()))?;
+    let path = graph::node_dir_at(&groot, &last).join(graph::PAYLOAD);
     match corruption {
-        GraphCorruption::TruncatedGraphIndex => {
-            let index = fs::read_to_string(&index_path).map_err(io)?;
-            let torn = index.len().saturating_sub(9);
-            fs::write(&index_path, &index[..torn]).map_err(io)?;
-        }
-        GraphCorruption::GarbageGraphIndexLine => {
-            let mut index = fs::read_to_string(&index_path).map_err(io)?;
-            index.push_str("{\"digest\": 42, definitely not a graph entry\n");
-            fs::write(&index_path, index).map_err(io)?;
-        }
-        GraphCorruption::MissingNodePayload => {
-            let dir = graph::node_dir_at(&groot, &newest()?.digest);
-            fs::remove_file(dir.join("payload.json")).map_err(io)?;
-        }
+        GraphCorruption::MissingNodePayload => fs::remove_file(&path).map_err(io)?,
         GraphCorruption::EditedNodePayload => {
-            let path = graph::node_dir_at(&groot, &newest()?.digest).join("payload.json");
             let mut payload = fs::read_to_string(&path).map_err(io)?;
             payload.push_str("# tampered\n");
             fs::write(&path, payload).map_err(io)?;
-        }
-        GraphCorruption::OrphanNodeDir => {
-            let dir = groot.join("nodes").join("00000000000000000000000000000bad");
-            fs::create_dir_all(&dir).map_err(io)?;
-            fs::write(dir.join("payload.json"), "{\"node\":\"stray\"}\n").map_err(io)?;
         }
     }
     Ok(())
@@ -661,11 +600,8 @@ mod tests {
             let report = check(&store);
             assert!(!report.clean(), "{corruption} went undetected");
             let expected = match corruption {
-                GraphCorruption::TruncatedGraphIndex => IssueKind::CorruptGraphIndexLine,
-                GraphCorruption::GarbageGraphIndexLine => IssueKind::CorruptGraphIndexLine,
                 GraphCorruption::MissingNodePayload => IssueKind::MissingGraphNode,
                 GraphCorruption::EditedNodePayload => IssueKind::GraphDigestMismatch,
-                GraphCorruption::OrphanNodeDir => IssueKind::OrphanGraphNode,
             };
             assert!(
                 report.issues.iter().any(|i| i.kind == expected),

@@ -389,11 +389,11 @@ impl RunStore {
     }
 }
 
-/// Reads an append-only index file (the run store's or the artifact
-/// graph's) with per-line fault isolation: every line `parse` accepts,
-/// plus a `(line number, warning)` pair per skipped line, the warning
-/// naming the index by `label`. Blank lines are ignored and a missing
-/// file reads as empty.
+/// Reads an append-only index file (the run store's, or an older artifact
+/// graph's during its one-time upgrade) with per-line fault isolation:
+/// every line `parse` accepts, plus a `(line number, warning)` pair per
+/// skipped line, the warning naming the index by `label`. Blank lines are
+/// ignored and a missing file reads as empty.
 pub(crate) fn scan_index<T>(
     path: &Path,
     label: &str,
@@ -416,8 +416,8 @@ pub(crate) fn scan_index<T>(
     (entries, skipped)
 }
 
-/// Appends one line to an append-only index file (the run store's and the
-/// artifact graph's) with one `O_APPEND` write. Only the last byte is
+/// Appends one line to the run store's append-only index with one
+/// `O_APPEND` write. Only the last byte is
 /// read: if a crash tore the previous append mid-line, a leading newline
 /// seals the fragment onto its own line, where the reader skips it.
 pub(crate) fn append_index_line(path: &Path, line: &str) -> std::io::Result<()> {
@@ -432,8 +432,8 @@ pub(crate) fn append_index_line(path: &Path, line: &str) -> std::io::Result<()> 
 
 /// Replaces an index file whole through `index.json.tmp` and a rename, so
 /// a crash leaves the old index or the new one. For maintenance only: a
-/// line another writer appends meanwhile is lost, and its run dir or node
-/// is an orphan in the next `fex lab fsck`.
+/// line another writer appends meanwhile is lost, and its run dir is an
+/// orphan in the next `fex lab fsck`.
 pub(crate) fn rewrite_index(path: &Path, contents: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     fs::write(&tmp, contents)?;

@@ -93,7 +93,9 @@ impl Fex {
         &mut self.build
     }
 
-    /// The experiment log so far.
+    /// The log of the latest experiment: every line since its run began
+    /// (each run starts an empty log), plus any logged since it ended.
+    /// Before the first run, the lines since [`Fex::new`].
     pub fn log(&self) -> &[String] {
         &self.log
     }
@@ -182,6 +184,9 @@ impl Fex {
         config: &ExperimentConfig,
         mut runner: Box<dyn Runner>,
     ) -> Result<&DataFrame> {
+        // Each experiment gets a log of its own, so `<name>.log` holds
+        // this experiment's lines and the environment report.
+        self.log.clear();
         // Record environment details in the log (reproducibility, §VI).
         for ty in &config.build_types {
             let env = crate::env::environment_for(ty);
@@ -659,6 +664,22 @@ mod tests {
         assert!(csv.starts_with("suite,benchmark,type"));
         // Log carries the environment digest.
         assert!(fex.log().iter().any(|l| l.contains("environment digest")));
+    }
+
+    #[test]
+    fn each_experiment_starts_an_empty_log() {
+        let mut fex = fex_with_compilers();
+        let cfg = ExperimentConfig::new("micro")
+            .types(vec!["gcc_native"])
+            .input(InputSize::Test)
+            .benchmark("arrayread");
+        let log_file =
+            |fex: &Fex| fex.container().fs().read("/fex/results/micro.log").unwrap().to_vec();
+        fex.run(&cfg).unwrap();
+        let (first_len, first_file) = (fex.log().len(), log_file(&fex));
+        fex.run(&cfg).unwrap();
+        assert_eq!(fex.log().len(), first_len);
+        assert_eq!(log_file(&fex), first_file);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!    stored only run units (lines carrying a `kind` key, plus source,
 //!    compiled, decoded and aggregate nodes) opens without warnings,
 //!    serves every run unit warm and passes `fex lab fsck`.
+//! 4. **Nodes verify themselves** — a node edited behind the graph's back
+//!    is a miss, never served, and the store that follows rewrites it.
 
 use std::path::Path;
 use std::process::Command;
@@ -303,6 +305,45 @@ fn graph_index_with_kinds_and_provenance_nodes_still_serves() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "fsck failed: {stdout}");
     assert!(stdout.contains(&format!("checked {} graph nodes", nodes.len())), "{stdout}");
+    assert!(stdout.contains("store is clean"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&lab);
+}
+
+/// A node edited behind the graph's back — one number changed, so the
+/// payload still parses — is not served: that unit misses and
+/// re-executes, its node is rewritten, the warm CSV matches cold, and
+/// `fex lab fsck` is clean afterwards.
+#[test]
+fn an_edited_node_misses_and_is_rewritten() {
+    let config = ExperimentConfig::new("micro").types(vec!["gcc_native"]).input(InputSize::Test);
+    let lab = temp_dir("edited-node");
+    let (cold_csv, _, _, (_, cold_misses)) = run_micro_graphed(&config, &lab);
+
+    let nodes = lab.join(ArtifactGraph::SUBDIR).join("nodes");
+    let mut names: Vec<_> = std::fs::read_dir(&nodes)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let path = nodes.join(names.last().unwrap()).join("payload.json");
+    let original = std::fs::read_to_string(&path).unwrap();
+    let (head, tail) = original.split_once("\"ctr_cycles\": ").unwrap();
+    let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap();
+    let cycles: u64 = tail[..digits].parse().unwrap();
+    let edited = format!("{head}\"ctr_cycles\": {}{}", cycles * 4, &tail[digits..]);
+    std::fs::write(&path, edited).unwrap();
+
+    let (warm_csv, _, _, session) = run_micro_graphed(&config, &lab);
+    assert_eq!(session, (cold_misses - 1, 1), "only the edited unit re-executes");
+    assert_eq!(warm_csv, cold_csv);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), original, "the node is rewritten");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fex"))
+        .args(["lab", "fsck", "--lab", lab.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "fsck failed: {stdout}");
     assert!(stdout.contains("store is clean"), "{stdout}");
     let _ = std::fs::remove_dir_all(&lab);
 }
